@@ -13,7 +13,13 @@ Ray-Data re-expression of the reference indexer entry point
   index_construction.py:246-250);
 - load: ``load_postings(path, terms)`` pushes the term filter into the
   read (J1 — filter pushdown replaces the unpickle-everything loader at
-  retrieve_query.py:18-35).
+  retrieve_query.py:18-35);
+- query: ``search_index`` sizes the term slice exactly as Σ df(t) over the
+  query terms from the persisted ``token_df`` table.  Within
+  ``DRIVER_ROWS_LIMIT`` rows the driver reads the slice and ranks it
+  itself, with no Ray job; above it (or with no ``token_df``) the query
+  runs as the distributed ``boolean_search``, which never brings the slice
+  to the driver.
 
 The partial-index spill + merge the reference never finished
 (idxer.py:125-164, SURVEY.md §7 bug 7) falls out of Ray's shuffle: the
@@ -26,6 +32,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
@@ -34,6 +41,11 @@ from ray.data import Dataset
 from searchengine_ray.functions.html import extract_tag_texts, extract_text
 from searchengine_ray.functions.tokenizer import calculate_term_weights, term_frequencies, tokenize_fast
 from searchengine_ray.stages import text as text_stage
+
+# Most rows the driver takes into memory: the query term slice
+# ``search_index`` ranks in process, and the vocabulary whose idf
+# ``merge_index`` broadcasts.
+DRIVER_ROWS_LIMIT = 2_000_000
 
 
 def build_postings(
@@ -148,18 +160,25 @@ def write_index(
     # whole postings table.
     from searchengine_ray.stages.relational import pre_aggregate
 
-    written = rd.read_parquet(idx_dir, columns=["doc_id", "token"])
-    df_ds = pre_aggregate(written, ["token"],
-                          {"df": (None, "count")}).materialize()
-    n_unique = df_ds.count()
-    n_docs = pre_aggregate(
-        rd.read_parquet(idx_dir, columns=["doc_id"]),
-        ["doc_id"], {"c": (None, "count")}).count()
     df_dir = os.path.join(out_dir, "token_df")
     tmp = df_dir + ".tmp"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
-    df_ds.write_parquet(tmp)
+    if n_postings:
+        written = rd.read_parquet(idx_dir, columns=["doc_id", "token"])
+        df_ds = pre_aggregate(written, ["token"],
+                              {"df": (None, "count")}).materialize()
+        n_unique = df_ds.count()
+        n_docs = pre_aggregate(
+            rd.read_parquet(idx_dir, columns=["doc_id"]),
+            ["doc_id"], {"c": (None, "count")}).count()
+        df_ds.write_parquet(tmp)
+    else:  # the corpus tokenizes to nothing: a typed empty df table
+        n_unique = n_docs = 0
+        os.makedirs(tmp)
+        pq.write_table(pa.table({"token": pa.array([], pa.string()),
+                                 "df": pa.array([], pa.int64())}),
+                       os.path.join(tmp, "empty.parquet"))
     os.makedirs(tmp, exist_ok=True)
     if os.path.exists(df_dir):
         shutil.rmtree(df_dir)
@@ -185,7 +204,7 @@ def merge_index(
     url_col: str | None = None,
     mode: str = "simple",
     target_dir: str | None = None,
-    broadcast_vocab_limit: int = 2_000_000,
+    broadcast_vocab_limit: int = DRIVER_ROWS_LIMIT,
     max_delta_ids: int = 50_000_000,
 ) -> dict:
     """Incremental index maintenance: merge a DELTA corpus into the
@@ -364,20 +383,53 @@ def load_postings(out_dir: str, terms: list[str] | None = None) -> Dataset:
     return rd.read_parquet(idx_dir, filter=expr)
 
 
+def _slice_rows(out_dir: str, terms: list[str]) -> int | None:
+    """Exact number of postings rows carrying any of ``terms`` — Σ df(t)
+    from the ``token_df`` side table — or None for an index without one."""
+    df_dir = os.path.join(out_dir, "token_df")
+    if not os.path.isdir(df_dir):
+        return None
+    dft = pq.read_table(df_dir, columns=["df"], filters=[("token", "in", terms)],
+                        use_threads=False)
+    return int(pc.sum(dft["df"]).as_py() or 0)
+
+
 def search_index(out_dir: str, query: str, k: int = 5) -> pd.DataFrame:
     """Query path against the persisted index: parse → pushdown probe →
-    boolean AND/OR → rank (reference retrieve_query.py flow, bugs fixed
-    per SURVEY.md §7)."""
-    from searchengine_ray.pipelines.search import boolean_search, parse_query
+    boolean AND/OR → rank → doc_map dereference of the top-k (reference
+    retrieve_query.py flow, bugs fixed per SURVEY.md §7).
+
+    The route is chosen on the term slice's exact size (``_slice_rows``):
+    up to ``DRIVER_ROWS_LIMIT`` rows the slice is read straight from the
+    token-sorted parquet (row-group pruned) and ranked in this process by
+    ``search.rank_slice`` — no Ray job, no task, actor or thread; above it,
+    or without a ``token_df`` table, the distributed ``boolean_search``
+    answers, and the driver never holds the slice."""
+    from searchengine_ray.pipelines.search import (
+        boolean_search,
+        empty_result,
+        parse_query,
+        rank_slice,
+    )
 
     terms = sorted({t for g in parse_query(query) for t in g})
     if not terms:
-        return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                             "score": pd.Series([], dtype=np.float64)})
-    postings = load_postings(out_dir, terms)
-    result = boolean_search(postings, query, k)
+        return empty_result()
+    n_rows = _slice_rows(out_dir, terms)
+    if n_rows is None or n_rows > DRIVER_ROWS_LIMIT:
+        result = boolean_search(load_postings(out_dir, terms), query, k)
+    elif n_rows:
+        sliced = pq.read_table(
+            os.path.join(out_dir, "postings"),
+            columns=["doc_id", "token", "tf_idf"],
+            filters=[("token", "in", terms)], use_threads=False)
+        result = rank_slice(sliced.to_pandas(use_threads=False), query, k)
+    else:  # no posting carries a query term (postings/ may hold no file)
+        result = empty_result()
     dm_dir = os.path.join(out_dir, "doc_map")
     if os.path.isdir(dm_dir) and len(result):
-        dm = pq.read_table(dm_dir).to_pandas()
+        dm = pq.read_table(
+            dm_dir, filters=[("doc_id", "in", result["doc_id"].tolist())],
+            use_threads=False).to_pandas(use_threads=False)
         result = result.merge(dm, on="doc_id", how="left")  # J2 dereference
     return result

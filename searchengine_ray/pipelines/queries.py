@@ -7253,7 +7253,7 @@ ORACLE_SQL = {
     "token_topk_freq": SQL_TOKEN_TOPK_FREQ,
     # approximate op gated via its OWN guarantee: the oracle recomputes the
     # exact top-20, joins the engine-persisted estimates and keeps rows only
-    # inside the one-sided ε-bound (est >= exact, est-exact <= ceil(e·N/w))
+    # inside the one-sided ε-bound (est >= exact, est-exact <= ceil(4e·N/w))
     "token_freq_cms": SQL_TOKEN_FREQ_CMS,
     "heavy_tokens": SQL_HEAVY_TOKENS,
     "tfidf_top": SQL_TFIDF_TOP,

@@ -13,9 +13,16 @@ Re-expression of the reference query path (retrieve_query.py):
   sum of tf_idf over the distinct query terms present in the doc;
 - top-k = MAX_LINKS_SHOWN = 5 (:14,186-187).
 
-The postings probe is a broadcast-semi-join of the tiny term list against
-the postings Dataset (J1) — no shuffle of the postings table; the per-doc
-qualification (J3/D1) is ``groupby(doc_id)`` over the filtered slice only.
+Two routes share one AND/OR/score kernel (``qualify``):
+- ``boolean_search`` (Dataset in): the postings probe is a broadcast-semi-
+  join of the tiny term list against the postings Dataset (J1) — no
+  shuffle of the postings table; the per-doc qualification (J3/D1) is a
+  ``doc_id`` co-shuffle over the filtered slice only, and the driver never
+  holds the slice;
+- ``rank_slice`` (pandas in): the same kernel run once over a term slice
+  already in driver memory.  ``index_pipeline.search_index`` takes this
+  route when the slice's exact size, Σ df(t) over the query terms, is
+  within its driver budget, and ``boolean_search`` above it.
 """
 
 from __future__ import annotations
@@ -43,6 +50,60 @@ def parse_query(query: str) -> list[list[str]]:
     return groups
 
 
+def empty_result() -> pd.DataFrame:
+    """The typed empty (doc_id, score) result."""
+    return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
+                         "score": pd.Series([], dtype=np.float64)})
+
+
+def query_masks(groups: list[list[str]]) -> tuple[dict[str, int], np.ndarray]:
+    """Query terms → bits, and one bitmask per non-empty AND group."""
+    all_terms = sorted({t for g in groups for t in g})
+    term_bit = {t: 1 << i for i, t in enumerate(all_terms)}
+    group_masks = np.array(
+        [np.bitwise_or.reduce([term_bit[t] for t in g]) for g in groups],
+        dtype=np.int64)
+    return term_bit, group_masks
+
+
+def qualify(g: pd.DataFrame, term_bit: dict[str, int],
+            group_masks: np.ndarray) -> pd.DataFrame:
+    """(doc_id, token, tf_idf) rows of the query terms → (doc_id, score) of
+    the docs that satisfy the query, in ONE vectorized bitmask pass (query
+    terms → bits; distinct rows ⇒ grouped bit-SUM == bit-OR).  Rows of a
+    doc must all be in ``g``; the kernel of both ``boolean_search`` buckets
+    and the driver route of ``rank_slice``."""
+    g = g.drop_duplicates(["doc_id", "token"])
+    bits = g["token"].map(term_bit).to_numpy(dtype=np.int64)
+    agg = (pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
+                         "bit": bits,
+                         "tf": g["tf_idf"].to_numpy(np.float64)})
+           .groupby("doc_id", as_index=False)
+           .agg(mask=("bit", "sum"), score=("tf", "sum")))
+    # each bit appears ≤ once per doc (distinct rows) ⇒ sum == OR
+    mask = agg["mask"].to_numpy(dtype=np.int64)
+    qual = np.zeros(len(agg), dtype=bool)
+    for gm in group_masks:  # D1/D2: AND within group, OR across groups
+        qual |= (mask & gm) == gm
+    out = agg[qual][["doc_id", "score"]].copy()
+    out["score"] = out["score"].round(6)
+    return out
+
+
+def rank_slice(sliced: pd.DataFrame, query: str,
+               k: int = MAX_LINKS_SHOWN) -> pd.DataFrame:
+    """``boolean_search`` over an in-memory term slice: the same kernel run
+    once, top-k by (score desc, doc_id asc).  ``sliced`` must hold exactly
+    the postings rows of the query's terms."""
+    groups = [g for g in parse_query(query) if g]
+    out = qualify(sliced, *query_masks(groups))
+    if out.empty:
+        return empty_result()
+    return (out.sort_values(["score", "doc_id"], ascending=[False, True],
+                            kind="mergesort")
+            .head(k).reset_index(drop=True))
+
+
 def boolean_search(
     postings: Dataset, query: str, k: int = MAX_LINKS_SHOWN
 ) -> pd.DataFrame:
@@ -52,52 +113,29 @@ def boolean_search(
 
     Fully distributed: the term probe is a broadcast-semi filter (J1), the
     per-doc AND/OR qualification (J3/D1/D2) co-shuffles the term-sliced
-    postings on doc_id and resolves each bucket with ONE vectorized
-    bitmask pass (query terms → bits; distinct rows ⇒ grouped bit-SUM ==
-    bit-OR), and the ranked result reduces through ``global_topk`` — the
-    driver never holds the term slice (a stop-word query term at corpus
-    scale would be unbounded there)."""
+    postings on doc_id and resolves each bucket with ``qualify``, and the
+    ranked result reduces through ``global_topk`` — the driver never holds
+    the term slice (a stop-word query term at corpus scale would be
+    unbounded there)."""
     from searchengine_ray.stages.relational import bucketed_apply, global_topk
 
-    empty = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                          "score": pd.Series([], dtype=np.float64)})
     groups = [g for g in parse_query(query) if g]
     if not groups:
-        return empty
-    all_terms = sorted({t for g in groups for t in g})
-    term_bit = {t: 1 << i for i, t in enumerate(all_terms)}
-    group_masks = np.array(
-        [np.bitwise_or.reduce([term_bit[t] for t in g]) for g in groups],
-        dtype=np.int64)
+        return empty_result()
+    term_bit, group_masks = query_masks(groups)
 
     # J1: broadcast-semi-join of the (tiny) term list against postings
-    terms_set = set(all_terms)
+    terms_set = set(term_bit)
     sliced = postings.map_batches(
         lambda df: df[df["token"].isin(terms_set)],
         batch_format="pandas",
     ).select_columns(["doc_id", "token", "tf_idf"])
 
-    def qualify(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["doc_id", "token"])
-        bits = g["token"].map(term_bit).to_numpy(dtype=np.int64)
-        agg = (pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
-                             "bit": bits,
-                             "tf": g["tf_idf"].to_numpy(np.float64)})
-               .groupby("doc_id", as_index=False)
-               .agg(mask=("bit", "sum"), score=("tf", "sum")))
-        # each bit appears ≤ once per doc (distinct rows) ⇒ sum == OR
-        mask = agg["mask"].to_numpy(dtype=np.int64)
-        qual = np.zeros(len(agg), dtype=bool)
-        for gm in group_masks:  # D1/D2: AND within group, OR across groups
-            qual |= (mask & gm) == gm
-        out = agg[qual][["doc_id", "score"]].copy()
-        out["score"] = out["score"].round(6)
-        return out
-
-    scored = bucketed_apply(sliced, ["doc_id"], qualify)
+    scored = bucketed_apply(sliced, ["doc_id"],
+                            lambda g: qualify(g, term_bit, group_masks))
     out = global_topk(scored, ["score", "doc_id"], [False, True], k)
     if out.empty or "doc_id" not in out.columns:
-        return empty
+        return empty_result()
     return out.reset_index(drop=True)
 
 
@@ -198,8 +236,7 @@ def bm25_search(
     from searchengine_ray.stages.relational import global_topk, pre_aggregate
     from searchengine_ray.stages.text import simple_tokens
 
-    empty = pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
-                          "score": pd.Series([], dtype=np.float64)})
+    empty = empty_result()
     terms = sorted({t.lower() for t in terms})
     if not terms:
         return empty

@@ -79,6 +79,27 @@ def doc_term_counts(
     return ds.map_batches(fn, batch_format="pandas", batch_size=batch_size)
 
 
+class MissingIdfError(ValueError):
+    """A term-count row's token has no entry in the idf table: the df table
+    the idf came from is stale for this corpus.  Raised instead of letting
+    the row's tf_idf become NaN."""
+
+
+def attach_tfidf(tc: pd.DataFrame, idf: pd.Series) -> pd.DataFrame:
+    """(doc_id, token, cnt, doc_len) rows → (doc_id, token, tf, tf_idf)
+    against a token→idf Series.  Raises ``MissingIdfError`` naming the
+    tokens ``idf`` lacks."""
+    tf = tc["cnt"].to_numpy() / tc["doc_len"].to_numpy()
+    idf_v = tc["token"].map(idf).to_numpy(np.float64)
+    missing = np.isnan(idf_v)
+    if missing.any():
+        toks = sorted(set(tc["token"].to_numpy()[missing]))
+        raise MissingIdfError(
+            f"{len(toks)} token(s) have no idf (stale df table): {toks[:20]}")
+    return pd.DataFrame({"doc_id": tc["doc_id"], "token": tc["token"],
+                         "tf": tf, "tf_idf": tf * idf_v})
+
+
 def token_document_frequency(term_counts: Dataset) -> Dataset:
     """A1: df(token) = number of docs containing it.  ``term_counts`` already
     has one row per (doc, token), so df = pre-aggregated row count."""
@@ -111,6 +132,9 @@ def tfidf_postings(docs: Dataset, mode: str = "simple", round_to: int | None = 6
 
     if n_vocab <= broadcast_vocab_limit:
         df_tbl = df_ds.to_pandas()
+        if "df" not in df_tbl:  # the corpus tokenizes to nothing
+            df_tbl = pd.DataFrame({"token": pd.Series([], dtype=object),
+                                   "df": pd.Series([], dtype=np.int64)})
         # token→idf as a Series so the per-batch probe is a vectorized
         # .map (C hash loop) instead of a Python list-comprehension dict
         # lookup; n_docs/d runs the same IEEE double division per element
@@ -122,12 +146,7 @@ def tfidf_postings(docs: Dataset, mode: str = "simple", round_to: int | None = 6
         idf_ref = ray.put(idf)
 
         def tfidf_fn(df: pd.DataFrame) -> pd.DataFrame:
-            table = ray.get(idf_ref)  # plasma-local; small
-            tf = df["cnt"].to_numpy() / df["doc_len"].to_numpy()
-            idf_v = df["token"].map(table).to_numpy(np.float64)
-            return finish(pd.DataFrame(
-                {"doc_id": df["doc_id"], "token": df["token"], "tf": tf,
-                 "tf_idf": tf * idf_v}))
+            return finish(attach_tfidf(df, ray.get(idf_ref)))  # plasma-local
 
         return tc.map_batches(tfidf_fn, batch_format="pandas")
 

@@ -3,6 +3,7 @@ hand-computed tf/idf; reference formulas helpers.py:21-27,
 index_construction.py:191-194,204)."""
 
 import math
+import os
 
 import numpy as np
 import pandas as pd
@@ -182,3 +183,126 @@ def test_merge_index_removal_via_empty_text(ray_session, tmp_path):
     assert np.allclose(merged["tf_idf"], rebuilt["tf_idf"])
     assert 1 not in set(merged["doc_id"])          # removed id gone
     assert summary["n_docs"] == 4                   # 0,2,3,4 — not 5
+
+
+# --- search_index routes: driver-side slice vs distributed boolean_search ---
+
+ROUTE_QUERIES = ["cat AND dog", "cat OR dog OR bird OR fish", "dog bird",
+                 "snail OR cat", "bird AND snail OR fish", "unicorn",
+                 "cat AND unicorn"]
+
+
+def _both_routes(monkeypatch, out: str) -> list[tuple[pd.DataFrame, pd.DataFrame]]:
+    from searchengine_ray.pipelines import index_pipeline
+
+    driver = [search_index(out, q) for q in ROUTE_QUERIES]
+    with monkeypatch.context() as m:  # every slice is now over budget
+        m.setattr(index_pipeline, "DRIVER_ROWS_LIMIT", 0)
+        distributed = [search_index(out, q) for q in ROUTE_QUERIES]
+    return list(zip(driver, distributed))
+
+
+def test_search_routes_identical_micro_corpus(ray_session, tmp_path, monkeypatch):
+    out = str(tmp_path / "idx")
+    docs = rd.from_pandas(DOCS)
+    write_index(build_postings(docs, mode="simple"), out, docs=docs)
+    pairs = _both_routes(monkeypatch, out)
+    for d, s in pairs:
+        pd.testing.assert_frame_equal(d, s, check_exact=True)
+    assert pairs[0][0]["doc_id"].tolist() == [0]
+    assert list(pairs[0][0].columns) == ["doc_id", "score", "url"]
+    assert pairs[0][0]["doc_id"].dtype == np.int64
+    assert pairs[0][0]["score"].dtype == np.float64
+
+
+def test_search_routes_identical_merged_index(ray_session, tmp_path, monkeypatch):
+    import shutil
+
+    from searchengine_ray.pipelines.index_pipeline import merge_index
+
+    base = pd.DataFrame({
+        "doc_id": np.array([0, 1, 2, 4], dtype=np.int64),
+        "text": ["cat dog", "dog bird", "cat cat fish", "fish bird dog"],
+        "url": ["u0", "u1", "u2", "u4"],
+    })
+    delta = pd.DataFrame({
+        "doc_id": np.array([1, 3], dtype=np.int64),
+        "text": ["bird bird snail", "cat snail"],
+        "url": ["u1b", "u3"],
+    })
+    out = str(tmp_path / "idx")
+    write_index(build_postings(rd.from_pandas(base), mode="simple"), out,
+                docs=rd.from_pandas(base))
+    merge_index(out, rd.from_pandas(delta), mode="simple", url_col="url")
+    for d, s in _both_routes(monkeypatch, out):
+        pd.testing.assert_frame_equal(d, s, check_exact=True)
+    assert set(search_index(out, "snail")["url"]) == {"u1b", "u3"}
+
+    # an index without the token_df side table takes the distributed route
+    want = search_index(out, "bird OR cat")
+    shutil.rmtree(os.path.join(out, "token_df"))
+    pd.testing.assert_frame_equal(search_index(out, "bird OR cat"), want,
+                                  check_exact=True)
+
+
+def test_search_index_empty_corpus(ray_session, tmp_path, monkeypatch):
+    """A corpus that tokenizes to nothing leaves postings/ without a file;
+    both routes answer with the typed empty frame."""
+    from searchengine_ray.pipelines import index_pipeline
+
+    docs = rd.from_pandas(pd.DataFrame({
+        "doc_id": np.array([0, 1], dtype=np.int64), "text": ["", " !! "],
+        "url": ["u0", "u1"]}))
+    out = str(tmp_path / "idx")
+    summary = write_index(build_postings(docs, mode="simple"), out, docs=docs)
+    assert summary["n_postings"] == 0 and summary["n_unique_tokens"] == 0
+    for limit in (index_pipeline.DRIVER_ROWS_LIMIT, 0):
+        monkeypatch.setattr(index_pipeline, "DRIVER_ROWS_LIMIT", limit)
+        r = search_index(out, "cat OR dog")
+        assert r.empty
+        assert r.dtypes.to_dict() == {"doc_id": np.int64, "score": np.float64}
+
+
+def test_search_index_runs_without_ray(ray_session, tmp_path):
+    """Within the driver budget a query needs no Ray session: a fresh
+    process answers it and never initializes Ray."""
+    import json
+    import subprocess
+    import sys
+
+    out = str(tmp_path / "idx")
+    docs = rd.from_pandas(DOCS)
+    write_index(build_postings(docs, mode="simple"), out, docs=docs)
+    want = search_index(out, "dog OR fish")
+    code = (
+        "import json, sys, ray\n"
+        "from searchengine_ray.pipelines.index_pipeline import search_index\n"
+        "r = search_index(sys.argv[1], 'dog OR fish')\n"
+        "print(json.dumps({'rows': r.to_dict('list'),"
+        " 'ray': ray.is_initialized()}))\n")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, out], cwd=repo,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["ray"] is False
+    assert got["rows"] == want.to_dict("list")
+    assert got["rows"]["doc_id"] == [2, 1, 0]  # ln3 > ln1.5/2 > ln1.5/3
+
+
+def test_tfidf_stale_df_table_raises():
+    """A token missing from the idf table fails loudly, naming the token,
+    instead of yielding a NaN tf_idf."""
+    from searchengine_ray.stages.text import MissingIdfError, attach_tfidf
+
+    tc = pd.DataFrame({"doc_id": np.array([0, 0, 1], dtype=np.int64),
+                       "token": ["cat", "dog", "bird"],
+                       "cnt": np.array([2, 1, 1], dtype=np.int64),
+                       "doc_len": np.array([3, 3, 1], dtype=np.int64)})
+    fresh = pd.Series({"cat": math.log(2), "dog": math.log(2), "bird": math.log(2)})
+    ok = attach_tfidf(tc, fresh)
+    assert np.allclose(ok["tf_idf"], [2 / 3 * math.log(2), 1 / 3 * math.log(2),
+                                      math.log(2)])
+    stale = fresh.drop("bird")  # df table from before "bird" entered the corpus
+    with pytest.raises(MissingIdfError, match="bird"):
+        attach_tfidf(tc, stale)
