@@ -110,9 +110,16 @@ def main() -> None:
     gate_mem = ray.get([g.memory_stats.remote() for g in eng.gates])
     probe_mem = (ray.get([s.memory_stats.remote() for s in eng.probe_tier])
                  if eng.probe_tier is not None else None)
-    content_gate = getattr(eng, "content_gate", None)
-    content_mem = (ray.get(content_gate.memory_stats.remote())
-                   if content_gate is not None else None)
+    # replica mode: the driver's copy of the content store (what each
+    # fetch worker holds too); tier mode keeps nothing on the driver
+    replica_mem = None
+    if eng.probe_tier is None:
+        from searchengine_ray.stages.content_probe import get_store_index
+
+        idx = get_store_index(tuple(eng._store_delta_refs),
+                              config.phash_max_hamming)
+        replica_mem = {"index_bytes": idx.nbytes(),
+                       "segments": len(idx.segments)}
     print(json.dumps({
         "pages_fetched": n_fetched,
         "accepted": n_accepted,
@@ -120,7 +127,8 @@ def main() -> None:
         "waves": int(eng.wave),
         "gate_shard_memory": gate_mem,
         "probe_shard_memory": probe_mem,
-        "content_gate_memory": content_mem,
+        "content_replica_memory": replica_mem,
+        "cuckoo_degraded": [m["cuckoo_degraded"] for m in gate_mem],
         "per_wave": [{k: m.get(k) for k in ("wave", "fetched", "pages_per_sec",
                                             "driver_rss_mb",
                                             "driver_private_mb")}

@@ -52,11 +52,13 @@ class CrawlConfig:
     # execution
     inline_wave_threshold: int = 64  # waves ≤ this run driver-inline (same kernels)
     num_gate_shards: int = 8
-    # content-store probe tier: None = per-worker broadcast StoreIndex
-    # replica (lowest latency; O(corpus) memory per worker — fine to ~10^7
-    # pages); N = shard the accepted-fingerprint index across N probe
-    # actors at O(corpus/N) each, probed by batch RPC from the fetch tasks
-    # (the 10^10 shape).  Pure execution knob — decisions are identical.
+    # the ONE content store of record: None = the broadcast chain of
+    # per-wave deltas, indexed as a StoreIndex replica by every fetch
+    # worker and by the driver (inline waves) — lowest latency, O(corpus)
+    # memory per process, fine to ~10^7 pages; N = shard the
+    # accepted-fingerprint index across N probe actors at O(corpus/N) each,
+    # probed by batch RPC from the fetch tasks and the driver (the 10^10
+    # shape).  Pure execution knob — decisions are identical.
     content_probe_shards: int | None = None
     # wave size above which the content-gate resolve runs DISTRIBUTED
     # (shared-shingle / shared-band co-shuffle partner graph + pull of only
@@ -98,7 +100,7 @@ class CrawlConfig:
     # result() reads it back — driver heap stays flat across waves
     hold_order_in_memory: bool = True
     # CPU reservation override for the engine's STATE actors (gate shards,
-    # content gate / probe tier, robots cache).  None = the class defaults
+    # probe tier if any, robots cache).  None = the class defaults
     # (0.5 / 0.25 — sized so a multi-node scheduler spreads the state tier
     # instead of packing it on the head node).  Small shared sessions that
     # create engines back-to-back (the test fixture, driver dryrun) should

@@ -6,9 +6,9 @@ Each wave is a bounded Ray Data pipeline (SURVEY.md §3.3):
       → fetch          map_batches(Fetcher actor pool)   [politeness pacing]
       → validate       map_batches: decode image, enforce per-row invariants,
                        caption shingles + phash fingerprints
-      → content gate   ContentGate actor (sequential by seq — exact
-                       reference semantics via inverted shingle index +
-                       pigeonhole phash bands)
+      → content gate   store probe (parallel, read-only) + sequential
+                       resolve in processing order — exact reference
+                       semantics (stages/content_probe.resolve_wave)
       → pages sink     accepted payload rows → wave-partitioned table
       → link explode   map_batches: resolve/defrag/is_valid/canonicalize
       → robots filter  RobotsCache actor → broadcast rules
@@ -31,9 +31,13 @@ Scale notes (10^10-URL frontier):
   standard distributed rank: sort by (parent_seq, link_idx) →
   per-partition counts → exclusive prefix sum → per-partition offset add.
   The per-wave dataflow is unchanged.
-- the content gate is one logical actor here (exact conformance mode); the
-  documented scale mode shards it by LSH band with a two-phase
-  accept/confirm, trading a bounded semantic delta for parallelism.
+- the content store has ONE store of record: the broadcast chain of
+  per-wave accepted-fingerprint deltas (replica mode: every fetch task and
+  the driver hold an incremental ``StoreIndex`` replica) or the row-sharded
+  probe tier (``config.content_probe_shards``, O(corpus/N) per actor).  A
+  wave's verdicts are the store probe + the exact sequential resolve —
+  on the driver (``resolve_wave``) or, for giant waves, distributed
+  (``_resolve_wave_distributed``); wave size alone picks the route.
 - host-gate shards scale horizontally: URL similarity is 0 across hosts
   (link_similarity.py:106-112), so per-host state never crosses shards.
 - skew: the wave slice caps ``per_host_wave_budget`` URLs per host per wave,
@@ -68,7 +72,7 @@ from searchengine_ray.sources.fixtures import (
     procedural_page,
 )
 from searchengine_ray.state.gates import (
-    ContentGate, ContentProbeShard, HostGateShard, RobotsCache)
+    ContentProbeShard, HostGateShard, RobotsCache)
 from searchengine_ray.utils.urls import is_valid, join_url, normalize, urldefrag_str
 
 _EMPTY = b""
@@ -549,6 +553,15 @@ class CrawlResult:
                 if len(order) else [])
 
 
+def _with_store_flags(b: pa.Table, probe) -> pa.Table:
+    """Append the content-store probe's per-row flags
+    (``CrawlEngine._store_probe``) — the same step on both wave routes."""
+    text, image = probe(b["shingles"].to_pylist(), b["phash"].to_pylist(),
+                        b["status"].to_pylist())
+    return (b.append_column("store_text_dup", pa.array(text))
+            .append_column("store_image_dup", pa.array(image)))
+
+
 def _empty_order_frame() -> pd.DataFrame:
     return pd.DataFrame({
         "seq": pd.Series([], dtype=np.int64),
@@ -587,21 +600,13 @@ class CrawlEngine:
                 track_deltas=config.checkpoint_dir is not None)
             for i in range(config.num_gate_shards)
         ]
-        if config.content_probe_shards:
-            # sharded probe tier (O(corpus/N) per actor) replaces BOTH the
-            # monolithic gate actor and the per-worker broadcast replica
-            self.content_gate = None
-            self.probe_tier = [
-                _cls(ContentProbeShard, 0.25).remote(
-                    i, config.content_probe_shards,
-                    config.phash_max_hamming)
-                for i in range(config.content_probe_shards)
-            ]
-        else:
-            self.content_gate = _cls(ContentGate, 0.5).remote(
-                config.content_max_similarity, config.phash_max_hamming
-            )
-            self.probe_tier = None
+        # content store of record: the sharded probe tier (O(corpus/N) per
+        # actor), or None = the broadcast delta chain (_init_store_fp)
+        self.probe_tier = [
+            _cls(ContentProbeShard, 0.25).remote(
+                i, config.content_probe_shards, config.phash_max_hamming)
+            for i in range(config.content_probe_shards)
+        ] if config.content_probe_shards else None
         self.robots = _cls(RobotsCache, 0.25).remote(store.robots)
         self.wave = 0
         self.next_seq = 0
@@ -653,24 +658,21 @@ class CrawlEngine:
         ("phash", pa.int64()),
     ])
 
-    def _init_store_fp(self, tbl: pa.Table | None = None) -> None:
-        # store broadcast = ordered chain of per-wave DELTA tables; workers
-        # ingest only deltas they haven't applied (incremental StoreIndex) —
-        # the broadcast cost per wave is the wave's accepted fingerprints,
-        # not the cumulative store
+    def _init_store_fp(self) -> None:
+        # replica-mode store of record = ordered chain of per-wave DELTA
+        # tables; each process (fetch workers, the driver) ingests only
+        # deltas it hasn't applied (incremental StoreIndex) — the broadcast
+        # cost per wave is the wave's accepted fingerprints, not the
+        # cumulative store.  Tier mode keeps the chain empty.
         self._store_delta_refs: list = []
-        if tbl is not None and tbl.num_rows:
-            self._store_delta_refs.append(ray.put(tbl))
-        self._pending_admit = None
+        self._pending_admit = None  # in-flight probe-tier admits
         self._last_delta_tbl = None  # this wave's accepted fps (checkpoint unit)
         self._last_delta_ds = None  # giant-wave form: delta as dataset blocks
 
-    def _append_store_fp(self, live_tbl: pa.Table, gate_out: list[str],
-                         admit_actor: bool) -> None:
+    def _append_store_fp(self, live_tbl: pa.Table, gate_out: list[str]) -> None:
         """Append this wave's accepted fingerprints as a new store delta.
-        Replica mode: extend the broadcast delta chain (and, for the
-        parallel path, sync the gate actor whose copy backs the inline
-        path).  Tier mode: route the delta's rows to their probe shards."""
+        Replica mode: extend the broadcast delta chain.  Tier mode: route
+        the delta's rows to their probe shards."""
         if not gate_out:
             return
         mask = pa.array([d == "accept" for d in gate_out], pa.bool_())
@@ -681,10 +683,8 @@ class CrawlEngine:
         self._last_delta_ds = None
         if self.probe_tier is not None:
             self._pending_admit = self._route_to_tier(accepted)
-            return
-        self._store_delta_refs.append(ray.put(accepted))
-        if admit_actor:
-            self._pending_admit = [self.content_gate.bulk_admit.remote(accepted)]
+        else:
+            self._store_delta_refs.append(ray.put(accepted))
 
     def _route_to_tier(self, tbl: pa.Table) -> list:
         """Slice an accepted-fingerprint table by ``seq % N`` and ship each
@@ -703,6 +703,32 @@ class CrawlEngine:
         if getattr(self, "_pending_admit", None):
             ray.get(self._pending_admit)
         self._pending_admit = None
+
+    def _store_probe(self):
+        """The ONE content-store probe: ``probe(shingle_lists, phashes,
+        statuses) -> (text_dup, image_dup)`` flags vs every page accepted
+        before this wave.  Replica mode probes the per-process incremental
+        ``StoreIndex`` over the delta chain (fetch tasks' replicas on the
+        distributed route, the driver's own on the inline one); tier mode
+        batch-RPCs the probe shards.  The closure captures no engine state
+        beyond the refs/handles, so it ships to fetch tasks as is."""
+        from searchengine_ray.stages.content_probe import (
+            get_store_index, probe_batch, probe_tier_batch)
+
+        self._flush_admits()  # the tier must hold every earlier wave
+        max_sim, max_ham = (self.config.content_max_similarity,
+                            self.config.phash_max_hamming)
+        tier = self.probe_tier
+        refs = tuple(self._store_delta_refs)
+
+        def probe(shingle_lists, phashes, statuses):
+            if tier is not None:
+                return probe_tier_batch(shingle_lists, phashes, statuses,
+                                        tier, max_sim)
+            return probe_batch(shingle_lists, phashes, statuses,
+                               get_store_index(refs, max_ham), max_sim)
+
+        return probe
 
     # ------------------------------------------------- inline (small-wave) --
     def _fetch_validate_inline(self, wave_df: pd.DataFrame) -> pa.Table:
@@ -852,25 +878,7 @@ class CrawlEngine:
             validated_tbl = self._fetch_validate_inline(wave_df)
             validated = None
         else:
-            from searchengine_ray.stages.content_probe import (
-                get_store_index, probe_batch, probe_tier_batch)
-
-            self._flush_admits()
-            max_sim, max_ham = cfg.content_max_similarity, cfg.phash_max_hamming
-            tier = self.probe_tier
-            export_refs = tuple(self._store_delta_refs) if tier is None else ()
-
-            def probe_fn(b: pa.Table) -> pa.Table:
-                cols = (b["shingles"].to_pylist(), b["phash"].to_pylist(),
-                        b["status"].to_pylist())
-                if tier is not None:
-                    text, image = probe_tier_batch(*cols, tier, max_sim)
-                else:
-                    idx = get_store_index(export_refs, max_ham)
-                    text, image = probe_batch(*cols, idx, max_sim)
-                return (b.append_column("store_text_dup", pa.array(text))
-                        .append_column("store_image_dup", pa.array(image)))
-
+            probe = self._store_probe()
             ngram_size = cfg.ngram_size
             store_ref = self.store_ref
             spec_refs, covered = self._spec_hits(wave_df)
@@ -933,7 +941,8 @@ class CrawlEngine:
             for p in parts[1:]:
                 prevalidated = prevalidated.union(p)
             validated = prevalidated.map_batches(
-                probe_fn, batch_format="pyarrow").materialize()
+                lambda b: _with_store_flags(b, probe),
+                batch_format="pyarrow").materialize()
             validated_tbl = None
 
         t_fetch = time.monotonic() - t0
@@ -945,44 +954,20 @@ class CrawlEngine:
 
         fp_cols = ["seq", "status", "integrity_ok", "shingles", "phash"]
         decision = None
-        if inline:
-            # tiny wave → gate state must be current: flush any in-flight
-            # admits first
-            self._flush_admits()
-            fp_tbl = validated_tbl.select(fp_cols)
-            fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
-                [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
-            live_tbl = fp_tbl.filter(
-                pc.and_(pc.equal(fp_tbl["status"], 200), fp_tbl["integrity_ok"])
-            ).select(["seq", "shingles", "phash"])
-            if self.probe_tier is not None:
-                # tier mode has no monolithic gate actor: probe the shards
-                # from the driver, then the exact sequential resolve
-                from searchengine_ray.stages.content_probe import (
-                    probe_tier_batch, resolve_wave)
-
-                text, image = probe_tier_batch(
-                    live_tbl["shingles"].to_pylist(),
-                    live_tbl["phash"].to_pylist(),
-                    [200] * live_tbl.num_rows,
-                    self.probe_tier, cfg.content_max_similarity,
-                )
-                gate_out = resolve_wave(
-                    live_tbl, text, image,
-                    cfg.content_max_similarity, cfg.phash_max_hamming,
-                )
-                self._append_store_fp(live_tbl, gate_out, admit_actor=True)
-            else:
-                gate_out = ray.get(self.content_gate.process_table.remote(live_tbl))
-                self._append_store_fp(live_tbl, gate_out, admit_actor=False)
-        elif len(wave_df) <= cfg.driver_fp_threshold:
+        if inline or len(wave_df) <= cfg.driver_fp_threshold:
+            # driver resolve: the wave's fingerprints + store flags in
+            # processing order → live rows → exact sequential resolve.
+            # Inline waves probe the store here; distributed ones carry the
+            # flags their fetch tasks computed.
             from searchengine_ray.stages.content_probe import resolve_wave
 
-            fp_tbl = pa.concat_tables(
-                ray.get(validated.select_columns(
-                    fp_cols + ["store_text_dup", "store_image_dup"]
-                ).to_arrow_refs())
-            )
+            flag_cols = ["store_text_dup", "store_image_dup"]
+            if inline:
+                fp_tbl = _with_store_flags(validated_tbl.select(fp_cols),
+                                           self._store_probe())
+            else:
+                fp_tbl = pa.concat_tables(ray.get(validated.select_columns(
+                    fp_cols + flag_cols).to_arrow_refs()))
             fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
                 [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
             live_full = fp_tbl.filter(
@@ -991,11 +976,11 @@ class CrawlEngine:
             live_tbl = live_full.select(["seq", "shingles", "phash"])
             gate_out = resolve_wave(
                 live_tbl,
-                np.asarray(live_full["store_text_dup"].to_numpy(zero_copy_only=False)),
-                np.asarray(live_full["store_image_dup"].to_numpy(zero_copy_only=False)),
+                *(np.asarray(live_full[c].to_numpy(zero_copy_only=False))
+                  for c in flag_cols),
                 cfg.content_max_similarity, cfg.phash_max_hamming,
             )
-            self._append_store_fp(live_tbl, gate_out, admit_actor=True)
+            self._append_store_fp(live_tbl, gate_out)
         else:
             # GIANT wave: the fingerprints (shingle lists) never concat on
             # the driver — distributed interaction graph, interacting-only
@@ -1316,8 +1301,6 @@ class CrawlEngine:
                 for r in refs for s in self.probe_tier]
         else:
             self._store_delta_refs.extend(refs)
-            self._pending_admit = [
-                self.content_gate.bulk_admit.remote(r) for r in refs]
 
     # ----------------------------------------- distributed frontier append --
     def _append_frontier_distributed(self, gated, pf) -> int:
@@ -1406,7 +1389,7 @@ class CrawlEngine:
         O(crawl) — host-gate admit deltas + this wave's accepted content
         fingerprints; restore replays deltas in wave order (bit-identical,
         verified by tests)."""
-        self._flush_admits()  # gate actor must be current before dump
+        self._flush_admits()  # tier admits land before the wave commits
         d = self.config.checkpoint_dir
         storage.write_table_atomic(
             pa.Table.from_pandas(order_df, preserve_index=False),
@@ -1474,11 +1457,8 @@ class CrawlEngine:
 
         load_snapshot_into(self.pool, os.path.join(d, "frontier", f"wave={w + 1}"))
         # replay the incremental per-wave deltas IN ORDER: host-gate admits
-        # rebuild seen/cuckoo/trap state exactly; content deltas bulk_admit
-        # into the gate actor and re-form the broadcast delta chain
-        self._store_delta_refs = []
-        self._pending_admit = None
-        self._last_delta_tbl = None
+        # rebuild seen/cuckoo/trap state exactly; content deltas re-form the
+        # broadcast delta chain (replica mode) or refill the probe tier
         admit_futs = []
         for wv in range(w + 1):
             sd = os.path.join(d, "state", f"wave={wv}")
@@ -1508,7 +1488,6 @@ class CrawlEngine:
                     admit_futs.extend(self._route_to_tier(tbl))
                 else:
                     self._store_delta_refs.append(ray.put(tbl))
-                    admit_futs.append(self.content_gate.bulk_admit.remote(tbl))
         if admit_futs:
             ray.get(admit_futs)
         if self.config.hold_order_in_memory:
@@ -1576,10 +1555,13 @@ class CrawlEngine:
         if getattr(self, "_shutdown_done", False):
             return
         self._shutdown_done = True
+        if self.probe_tier is None:
+            # the driver's replica of the store (built by inline waves)
+            from searchengine_ray.stages.content_probe import drop_store_index
+
+            drop_store_index()
         avail0 = ray.available_resources().get("CPU", 0.0)
         actors = list(self.gates)
-        if self.content_gate is not None:
-            actors.append(self.content_gate)
         if self.probe_tier is not None:
             actors.extend(self.probe_tier)
         actors.append(self.robots)

@@ -206,10 +206,12 @@ _INDEX_STATE: dict = {"applied": [], "index": None, "max_hamming": None}
 
 
 def get_store_index(delta_refs, max_hamming: int) -> StoreIndex:
-    """Per-worker incremental StoreIndex over the wave-delta chain.
+    """Per-process incremental StoreIndex over the wave-delta chain — the
+    replica-mode content store as seen by a fetch worker or by the driver
+    (inline waves).
 
     ``delta_refs`` is the ordered tuple of per-wave accepted-fingerprint
-    table refs.  A worker applies only the deltas it hasn't seen; a chain
+    table refs.  A process applies only the deltas it hasn't seen; a chain
     that isn't an extension of the applied prefix (new crawl / resume)
     rebuilds from scratch."""
     import ray
@@ -226,6 +228,11 @@ def get_store_index(delta_refs, max_hamming: int) -> StoreIndex:
         st["index"].add_table(ray.get(ref))
         st["applied"].append(hx)
     return st["index"]
+
+
+def drop_store_index() -> None:
+    """Free this process's replica (the next ``get_store_index`` rebuilds)."""
+    _INDEX_STATE.update(applied=[], index=None, max_hamming=None)
 
 
 def _flatten_live(shingle_lists, phashes, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -630,7 +630,8 @@ def _label_propagation_distributed(edges: Dataset, rounds: int,
 
         cnt = pre_aggregate(joined.map_batches(tag, batch_format="pandas"),
                             ["node", "lab"], {"c": (None, "count")})
-        upd = bucketed_apply(cnt, ["node"], _lpa_keep_best)
+        # consumed twice below (anti-join + union): materialize once
+        upd = bucketed_apply(cnt, ["node"], _lpa_keep_best).materialize()
         # nodes with no in-edges this round keep their previous label
         keep = hash_semi_anti_join(labels, upd, on="node", anti=True)
         labels = upd.union(keep).materialize()

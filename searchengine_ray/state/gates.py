@@ -8,14 +8,19 @@ Three actor families replace the reference's lock-guarded module globals
   (link_similarity.py:106-112), so host-sharding is EXACTLY the reference's
   global seen-set semantics.  Exact dedup uses a cuckoo filter fast path
   ("definitely new" has no false negatives) backed by an exact hash set.
-- ``ContentGate`` (T4/D5): accepted-page shingle store + phash store.  A new
-  page is rejected when (a) caption-shingle Jaccard vs ANY accepted page
-  exceeds ``max_similarity`` (ngrams.py:88-101) or (b) image phash within
-  ``max_hamming`` of ANY accepted image.  Candidates are found via an
-  inverted shingle index (any pair with Jaccard > 0 shares ≥1 shingle —
-  exact, no O(N²) scan) and pigeonhole phash bands (hamming ≤ t ⇒ ≥1 equal
-  band of t+1) — provably the same accept/reject set as the reference's
-  sequential loop, in the same order (SURVEY.md §7 hard part 2).
+- ``ContentProbeShard`` (T4/D5, tier mode): one row-shard of the accepted
+  page content store (caption shingles + image phash).  A new page is
+  rejected when (a) caption-shingle Jaccard vs ANY accepted page exceeds
+  ``max_similarity`` (ngrams.py:88-101) or (b) image phash within
+  ``max_hamming`` of ANY accepted image.  The content store has ONE store
+  of record: these shards, or (replica mode) the engine's broadcast chain
+  of per-wave deltas that every process indexes locally
+  (stages/content_probe.get_store_index).  Verdicts are the store probe +
+  the exact sequential resolve (stages/content_probe.resolve_wave):
+  candidates via shared shingles (Jaccard > 0 ⇒ ≥1 shared shingle — no
+  O(N²) scan) and pigeonhole phash bands (hamming ≤ t ⇒ ≥1 equal band of
+  t+1) — provably the reference's accept/reject set, in the same order
+  (SURVEY.md §7 hard part 2).
 - ``RobotsCache``: per-host robots rules cache (north-star component); rules
   are supplied by the fetch layer (synthetic store in tests) and cached.
 
@@ -145,6 +150,10 @@ class HostGateShard:
             "seen_bytes": self.seen.nbytes(),
             "seen_segments": len(self.seen.segments),
             "cuckoo_bytes": int(self.cuckoo.table.nbytes),
+            # fast-path health: a degraded filter leaves every probe to the
+            # exact set (still exact, slower)
+            "cuckoo_degraded": self.cuckoo_degraded,
+            "cuckoo_load": round(self.cuckoo.count / self.cuckoo.table.size, 6),
             "trap_groups": len(self.trap_index.groups),
             # per-partition dedup-rate lineage (north-star metric)
             "decisions": dict(self.decisions),
@@ -198,9 +207,10 @@ class WaveGate:
     sequential loop semantics (ngrams.py:88-101) for the intra-wave part:
     an inverted shingle index + phash-band buckets keep each decision
     O(candidates).  The cross-wave store of record is the numpy-segment
-    ``ContentGateCore``; the driver-side wave resolvers
-    (stages/content_probe.resolve_wave / resolve_wave_split) use this class
-    directly for their (typically tiny) interacting subsets."""
+    ``StoreIndex`` (broadcast replica or probe tier), probed before the
+    wave resolves; the wave resolvers (stages/content_probe.resolve_wave /
+    resolve_wave_split) replay only their (typically tiny) interacting
+    subsets through this class."""
 
     def __init__(self, max_similarity: float = 0.65, max_hamming: int = 4):
         self.max_similarity = max_similarity
@@ -253,114 +263,6 @@ class WaveGate:
         self.page_phash[seq] = ph
         for band in phash_bands(ph, self.num_bands):
             self.phash_bands[band].append(ph)
-
-
-class ContentGateCore:
-    """Cross-wave content near-dup STORE OF RECORD (caption shingles +
-    image phash) — the broadcast/checkpoint-mode counterpart of the probe
-    tier, now with the same numpy memory discipline: resident state is one
-    ``StoreIndex`` of compact sorted-array segments (~150 B/page — the
-    shape measured on the probe replicas), never per-page Python
-    dict/frozenset structures (r3 'What's missing' #5).
-
-    A ``process`` call decomposes exactly like the wave resolvers: the
-    store part of every verdict probes the index BATCH-vectorized (store
-    state cannot change mid-call — all intra-call admits land in a
-    transient ``WaveGate`` overlay), then a sequential overlay walk
-    resolves intra-call interactions.  Verdicts are identical to the
-    one-row-at-a-time sequential gate (same argument as resolve_wave;
-    pinned by the crawl conformance suite on the inline path).
-
-    Shingle lists are DISTINCT by construction (``shingle_hashes`` yields
-    sets) — set sizes for the Jaccard test come from list lengths."""
-
-    def __init__(self, max_similarity: float = 0.65, max_hamming: int = 4):
-        from searchengine_ray.stages.content_probe import StoreIndex
-
-        self.max_similarity = max_similarity
-        self.max_hamming = max_hamming
-        self.num_bands = max_hamming + 1
-        self.index = StoreIndex(max_hamming)
-        self._n = 0
-
-    def process(self, rows: list[tuple[int, list[int], int]]) -> list[str]:
-        """rows: (seq, shingle_hashes, phash) sorted by seq.  Returns
-        'accept' | 'text_dup' | 'image_dup' per row."""
-        import numpy as np
-        import pyarrow as pa
-
-        from searchengine_ray.stages.content_probe import _flatten_live
-
-        n = len(rows)
-        if not n:
-            return []
-        shingle_lists = [r[1] for r in rows]
-        phashes = [int(r[2]) for r in rows]
-        flat, offsets, ph = _flatten_live(
-            shingle_lists, phashes, np.arange(n, dtype=np.int64))
-        store_text = self.index.text_dup_batch(flat, offsets,
-                                               self.max_similarity)
-        store_image = self.index.image_dup_batch(ph)
-
-        ov = WaveGate(self.max_similarity, self.max_hamming)
-        out: list[str] = []
-        admitted: list[int] = []
-        for i, (seq, shingles, phv) in enumerate(rows):
-            sset = frozenset(shingles)
-            if store_text[i] or ov.text_dup(sset):
-                out.append("text_dup")
-                continue
-            if store_image[i] or ov.image_dup(int(phv)):
-                out.append("image_dup")
-                continue
-            ov.admit(int(seq), sset, int(phv))
-            admitted.append(i)
-            out.append("accept")
-        if admitted:
-            tbl = pa.table({
-                "seq": pa.array([int(rows[i][0]) for i in admitted], pa.int64()),
-                "shingles": pa.array([list(rows[i][1]) for i in admitted],
-                                     pa.list_(pa.int64())),
-                "phash": pa.array([int(rows[i][2]) for i in admitted],
-                                  pa.int64()),
-            })
-            self.index.add_table(tbl)
-            self._n += len(admitted)
-        return out
-
-    def process_table(self, fp_table) -> list[str]:
-        """Arrow-table variant of ``process`` (zero-copy through the object
-        store; column-wise to_pylist is ~10× cheaper than pandas list-column
-        conversion on the caller side).  Columns: seq, shingles, phash —
-        already sorted by seq."""
-        seqs = fp_table["seq"].to_pylist()
-        shingles = fp_table["shingles"].to_pylist()
-        phashes = fp_table["phash"].to_pylist()
-        return self.process(list(zip(seqs, shingles, phashes)))
-
-    def bulk_admit(self, fp_table) -> int:
-        """Insert pre-resolved accepted pages (order-independent once the
-        wave's decisions are fixed) — one compact segment per delta table,
-        no per-row Python."""
-        self.index.add_table(fp_table)
-        self._n += fp_table.num_rows
-        return fp_table.num_rows
-
-    def accepted_count(self) -> int:
-        return self._n
-
-    def memory_stats(self) -> dict:
-        """Resident-byte lineage — same shape as the probe shards'."""
-        return {"accepted": self._n,
-                "index_bytes": self.index.nbytes(),
-                "segments": len(self.index.segments)}
-
-
-@ray.remote(num_cpus=0.5)
-class ContentGate(ContentGateCore):
-    """Actor form of ContentGateCore — the cross-wave store of record
-    (checkpoints, inline path); big waves resolve driver-side against the
-    broadcast snapshot and sync back via bulk_admit."""
 
 
 @ray.remote(num_cpus=0.25)

@@ -96,6 +96,29 @@ def test_engine_matches_oracle_bfs(ray_session, store, inline_threshold):
     _assert_match(res, crawl_oracle(store, config))
 
 
+def test_replica_engines_on_different_stores_inline(ray_session, store):
+    """Two replica-mode engines on DIFFERENT stores in one process, every
+    wave inline: each inline wave probes the driver's own StoreIndex
+    replica, a per-process memo over the engine's delta chain
+    (content_probe.get_store_index).  The engines alternate waves, so the
+    memo sees the other crawl's chain before every wave and must rebuild
+    instead of probing the other crawl's pages or missing its own."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    stores = [store, make_store(n_pages=80, seed=7)]
+    engines = [CrawlEngine(s, _config(s, inline_wave_threshold=256))
+               for s in stores]
+    try:
+        running = list(engines)
+        while running:
+            running = [e for e in running if e.run_wave()]
+        for eng, s in zip(engines, stores):
+            _assert_match(eng.result(), crawl_oracle(s, eng.config))
+    finally:
+        for eng in engines:
+            eng.shutdown()
+
+
 def test_engine_matches_oracle_budgeted(ray_session, store, inline_threshold):
     config = _config(store, per_host_wave_budget=3,
                      inline_wave_threshold=inline_threshold)
@@ -620,8 +643,9 @@ def test_shutdown_returns_state_actor_cpu_reservation(ray_session, store):
 
     from searchengine_ray.pipelines.crawl import CrawlEngine
 
-    # one engine's default reservation (4×0.5 + 0.5 + 0.25 = 2.75) fits
-    # the 4-CPU fixture; quiesce first so the baseline is stable
+    # one engine's default reservation (4×0.5 gate shards + 0.25 robots
+    # cache = 2.25) fits the 4-CPU fixture; quiesce first so the baseline
+    # is stable
     deadline = _time.monotonic() + 30
     while (_ray.available_resources().get("CPU", 0.0) < 3.9
            and _time.monotonic() < deadline):
@@ -630,7 +654,7 @@ def test_shutdown_returns_state_actor_cpu_reservation(ray_session, store):
     cfg = _config(store, max_waves=1)
     cfg = type(cfg)(**{**cfg.__dict__, "state_actor_num_cpus": None})
     eng = CrawlEngine(store, cfg)
-    assert eng._actor_cpu_reserved == 2.75
+    assert eng._actor_cpu_reserved == 2.25
     eng.run()
     eng.shutdown()
     after = _ray.available_resources().get("CPU", 0.0)

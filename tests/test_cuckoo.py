@@ -65,6 +65,9 @@ def test_gate_degrades_on_pathological_keys():
     out1 = g.process(list(rows))
     assert all(d == "accept" for d in out1)
     assert g.cuckoo_degraded
+    stats = g.memory_stats()
+    assert stats["cuckoo_degraded"] is True
+    assert 0.0 < stats["cuckoo_load"] <= 1.0
     out2 = g.process(list(rows))
     assert all(d == "dup" for d in out2)
 
@@ -86,5 +89,8 @@ def test_gate_regrows_past_filter_capacity(ray_session):
         # duplicates must ALL be flagged dup — exactness preserved
         out2 = ray.get(gate.process.remote(rows))
         assert all(d == "dup" for d in out2), out2[:5]
+        stats = ray.get(gate.memory_stats.remote())
+        assert stats["cuckoo_degraded"] is False
+        assert 0.0 < stats["cuckoo_load"] < 1.0
     finally:
         ray.kill(gate)
