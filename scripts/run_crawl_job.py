@@ -105,9 +105,10 @@ def main() -> None:
     n_fetched = int(sum(m["fetched"] for m in eng.metrics))
     n_accepted = int(sum(m["page_decisions"].get("accept", 0)
                          for m in eng.metrics))
-    # per-partition state lineage: gate-shard + probe-shard memory (the
-    # bounded-actor-state invariant evidence, actor-side measurements)
-    gate_mem = ray.get([g.memory_stats.remote() for g in eng.gates])
+    # per-partition state lineage: one entry per logical gate shard + per
+    # probe shard (the bounded-actor-state invariant evidence, actor-side
+    # measurements)
+    gate_mem = eng.gate_memory_stats()
     probe_mem = (ray.get([s.memory_stats.remote() for s in eng.probe_tier])
                  if eng.probe_tier is not None else None)
     # replica mode: the driver's copy of the content store (what each
@@ -125,6 +126,7 @@ def main() -> None:
         "accepted": n_accepted,
         "url_seen": int(res.url_seen_count),
         "waves": int(eng.wave),
+        "gate_hosts": len(eng.gate_hosts),
         "gate_shard_memory": gate_mem,
         "probe_shard_memory": probe_mem,
         "content_replica_memory": replica_mem,

@@ -99,17 +99,14 @@ class CrawlConfig:
     # False + checkpoint_dir: per-wave crawl_order lands only on disk and
     # result() reads it back — driver heap stays flat across waves
     hold_order_in_memory: bool = True
-    # CPU reservation override for the engine's STATE actors (gate shards,
-    # probe tier if any, robots cache).  None = the class defaults
-    # (0.5 / 0.25 — sized so a multi-node scheduler spreads the state tier
-    # instead of packing it on the head node).  Small shared sessions that
-    # create engines back-to-back (the test fixture, driver dryrun) should
-    # pass 0: a raylet resource-accounting leak on actor death (worker goes
-    # IDLE but its reservation is never returned — observed live) can
-    # otherwise strand enough CPU that Ray Data's 1-CPU tasks (e.g.
-    # from_pandas metadata) become permanently infeasible and the next
-    # engine's wave materialize hangs.  Pure execution knob — decisions are
-    # identical.
+    # CPU reservation per STATE actor: the gate hosts (one per 4 cluster
+    # CPUs, each serving several logical gate shards) and the probe tier if
+    # any.  None = the class defaults (0.5 / 0.25, so a multi-node
+    # scheduler spreads them).  Small shared sessions that create engines
+    # back-to-back (the test fixture, driver dryrun) should pass 0: the
+    # raylet can leak a dead actor's reservation (observed live) and strand
+    # Ray Data's 1-CPU tasks, hanging the next engine's wave.  Pure
+    # execution knob — decisions are identical.
     state_actor_num_cpus: float | None = None
 
     def config_hash(self) -> str:

@@ -11,9 +11,10 @@ Each wave is a bounded Ray Data pipeline (SURVEY.md §3.3):
                        semantics (stages/content_probe.resolve_wave)
       → pages sink     accepted payload rows → wave-partitioned table
       → link explode   map_batches: resolve/defrag/is_valid/canonicalize
-      → robots filter  RobotsCache actor → broadcast rules
-      → host gate      groupby(host).map_groups → HostGateShard actors
-                       (exact URL dedup + trap similarity, in discovery order)
+      → robots filter  the store's robots rules, broadcast once per engine
+      → host gate      groupby(host).map_groups → logical gate shards, many
+                       per gate-host actor (exact URL dedup + trap
+                       similarity, in discovery order)
       → frontier(w+1)  accepted candidates, FIFO seq assigned
 
 Determinism/ordering contract: the engine reproduces the single-threaded
@@ -40,6 +41,8 @@ Scale notes (10^10-URL frontier):
   (``_resolve_wave_distributed``); wave size alone picks the route.
 - host-gate shards scale horizontally: URL similarity is 0 across hosts
   (link_similarity.py:106-112), so per-host state never crosses shards.
+  A shard is logical (the checkpoint unit); ``_gate_host_count`` places
+  the shards on gate-host processes.
 - skew: the wave slice caps ``per_host_wave_budget`` URLs per host per wave,
   so a 58%-of-corpus host (BASELINE.md) cannot dominate a wave; fetch actors
   additionally pace per host (token interval = politeness_delay).
@@ -71,8 +74,7 @@ from searchengine_ray.sources.fixtures import (
     SyntheticStore,
     procedural_page,
 )
-from searchengine_ray.state.gates import (
-    ContentProbeShard, HostGateShard, RobotsCache)
+from searchengine_ray.state.gates import ContentProbeShard, HostGateShard
 from searchengine_ray.utils.urls import is_valid, join_url, normalize, urldefrag_str
 
 _EMPTY = b""
@@ -85,6 +87,12 @@ _CHECKPOINT_FORMAT = 2
 
 def _host_shard(host: str, num_shards: int) -> int:
     return zlib.crc32(host.encode("utf-8")) % num_shards
+
+
+def _gate_host_count(cluster_cpus: float, num_shards: int) -> int:
+    """Gate-host processes H: one per 4 cluster CPUs (8 at 32, the bench
+    shape), at most one per logical shard; shard i lives on host i % H."""
+    return min(num_shards, max(1, int(cluster_cpus) // 4))
 
 
 def _driver_rss_mb() -> float | None:
@@ -338,14 +346,17 @@ def _explode_links(batch: pa.Table, allowed_domains, rank_map: dict[int, int],
 
 
 def _robots_filter_table(b: pa.Table, rules: dict) -> pa.Table:
-    """Drop rows whose URL path starts with a disallowed prefix for its
-    host.  Vectorized: the loop runs over the (few) per-host prefix RULES,
-    each applied as one pandas str.startswith over that host's rows."""
-    active = {h: p for h, p in rules.items() if p}
-    if not active or b.num_rows == 0:
+    """Drop rows whose URL path starts with a prefix ``rules`` (host →
+    disallowed path prefixes) lists for its host.  Vectorized: the loop
+    runs over the (few) prefix RULES of the batch's hosts, each applied as
+    one pandas str.startswith over that host's rows."""
+    if not rules or b.num_rows == 0:
+        return b
+    h = b["host"].to_pandas()
+    active = {x: rules[x] for x in h.unique() if rules.get(x)}
+    if not active:
         return b
     u = b["url_norm"].to_pandas()
-    h = b["host"].to_pandas()
     # path = everything from the 3rd "/" on ("/" when the URL has no path)
     path = ("/" + u.str.split("/", n=3).str[3].fillna("")).to_numpy(dtype=object)
     drop = np.zeros(len(u), dtype=bool)
@@ -392,66 +403,51 @@ def _dedup_candidates(df: pd.DataFrame) -> pd.DataFrame:
     the hash unseen, and its http sibling must then be gated on its own
     URL string.  For IDENTICAL strings the derivation is safe: first
     accept/dup ⇒ later 'dup' (hash admitted/seen); first trap ⇒ later
-    'trap' (gate state unchanged, is_trap monotone)."""
+    'trap' (gate state unchanged, is_trap monotone).  Rows that already
+    carry ``occurrences`` (a batch-local pre-dedup) add them up."""
+    if "occurrences" not in df:
+        df = df.assign(occurrences=np.ones(len(df), dtype=np.int64))
     if df.empty:
-        return df.assign(occurrences=pd.Series([], dtype=np.int64))
+        return df
     df = df.sort_values(["parent_rank", "link_idx"], kind="stable")
-    occ = df.groupby(_CAND_KEY, sort=False).size().rename("occurrences").reset_index()
-    firsts = df.drop_duplicates(_CAND_KEY, keep="first").merge(occ, on=_CAND_KEY)
+    occ = df.groupby(_CAND_KEY, sort=False)["occurrences"].sum().reset_index()
+    firsts = (df.drop_duplicates(_CAND_KEY, keep="first")
+              .drop(columns=["occurrences"]).merge(occ, on=_CAND_KEY))
     firsts["occurrences"] = firsts["occurrences"].astype(np.int64)
     return firsts.sort_values(["parent_rank", "link_idx"], kind="stable")
 
 
-def _link_decision_counts(gate_res: pd.DataFrame) -> dict:
-    """Reconstruct per-occurrence decision counts from the deduped gate
-    output (see _dedup_candidates)."""
-    if gate_res.empty:
+_GATE_TOTALS = ["cand", "accept", "accept_dup_occ", "trap_occ"]
+
+
+def _gate_totals(df: pd.DataFrame) -> dict:
+    """Candidate-occurrence totals of a deduped gate frame (see
+    _dedup_candidates)."""
+    occ = df["occurrences"].to_numpy(dtype=np.int64)
+    dec = df["decision"].to_numpy()
+    return {"cand": int(occ.sum()), "accept": int((dec == "accept").sum()),
+            "accept_dup_occ": int(occ[(dec == "accept") | (dec == "dup")].sum()),
+            "trap_occ": int(occ[dec == "trap"].sum())}
+
+
+def _gate_totals_distributed(gated) -> dict:
+    """``_gate_totals`` of the distributed gate output — per-batch partials,
+    only a handful of count rows reach the driver."""
+    parts = gated.map_batches(
+        lambda df: pd.DataFrame([_gate_totals(df)] if len(df) else [],
+                                columns=_GATE_TOTALS, dtype=np.int64),
+        batch_format="pandas").to_pandas()
+    return {k: int(parts[k].sum()) if len(parts) else 0 for k in _GATE_TOTALS}
+
+
+def _link_decision_counts(t: dict) -> dict:
+    """Per-occurrence decision counts from ``_gate_totals``: repeats of an
+    accepted or dup URL are dups, repeats of a trap URL are traps."""
+    if not t["cand"]:
         return {}
-    occ = gate_res["occurrences"].astype(np.int64)
-    dec = gate_res["decision"]
-    n_accept = int((dec == "accept").sum())
-    n_dup = int(occ[dec.isin(["accept", "dup"])].sum()) - n_accept
-    n_trap = int(occ[dec == "trap"].sum())
-    out = {"accept": n_accept}
-    if n_dup:
-        out["dup"] = n_dup
-    if n_trap:
-        out["trap"] = n_trap
-    return out
-
-
-def _gate_counts_distributed(gated) -> tuple[int, dict]:
-    """(total candidate occurrences, per-occurrence decision counts) from
-    the distributed gate output — per-batch partials, only a handful of
-    count rows reach the driver (same arithmetic as
-    ``_link_decision_counts``)."""
-    cols = ["cand", "accept", "accept_dup_occ", "trap_occ"]
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(columns=cols, dtype=np.int64)
-        occ = df["occurrences"].to_numpy(dtype=np.int64)
-        dec = df["decision"]
-        return pd.DataFrame([{
-            "cand": int(occ.sum()),
-            "accept": int((dec == "accept").sum()),
-            "accept_dup_occ": int(occ[dec.isin(["accept", "dup"]).to_numpy()].sum()),
-            "trap_occ": int(occ[(dec == "trap").to_numpy()].sum()),
-        }])[cols]
-
-    parts = gated.map_batches(partial, batch_format="pandas").to_pandas()
-    if parts.empty:
-        return 0, {}
-    t = parts.sum()
-    n_accept = int(t["accept"])
-    n_dup = int(t["accept_dup_occ"]) - n_accept
-    n_trap = int(t["trap_occ"])
-    out = {"accept": n_accept}
-    if n_dup:
-        out["dup"] = n_dup
-    if n_trap:
-        out["trap"] = n_trap
-    return int(t["cand"]), out
+    out = {"accept": t["accept"], "dup": t["accept_dup_occ"] - t["accept"],
+           "trap": t["trap_occ"]}
+    return {k: v for k, v in out.items() if v or k == "accept"}
 
 
 class CrawlResult:
@@ -583,6 +579,8 @@ class CrawlEngine:
             self.store_ref = ray.put(store.spec)
         else:
             self.store_ref = ray.put(store_to_arrow(store.pages))
+        # robots rules: read-only store data, broadcast once per engine
+        self.robots_ref = ray.put(store.robots)
         # state-actor CPU reservations: class defaults, or the config
         # override (0 on small shared sessions — see CrawlConfig docs).
         # Track the total actually reserved so shutdown can verify the
@@ -590,15 +588,21 @@ class CrawlEngine:
         sac = config.state_actor_num_cpus
         self._actor_cpu_reserved = 0.0
 
-        def _cls(klass, default_cpus):
+        def _cls(klass, default_cpus, **opts):
             self._actor_cpu_reserved += default_cpus if sac is None else sac
-            return klass if sac is None else klass.options(num_cpus=sac)
+            return klass.options(**opts, **({} if sac is None else
+                                            {"num_cpus": sac}))
 
-        self.gates = [
-            _cls(HostGateShard, 0.5).remote(
-                i, config.url_similarity_threshold,
+        # logical gate shards, spread over few processes (_gate_host_count)
+        n_shards = config.num_gate_shards
+        n_hosts = _gate_host_count(
+            ray.cluster_resources().get("CPU", 1), n_shards)
+        self.gate_hosts = [
+            _cls(HostGateShard, 0.5, scheduling_strategy="SPREAD").remote(
+                list(range(h, n_shards, n_hosts)),
+                config.url_similarity_threshold,
                 track_deltas=config.checkpoint_dir is not None)
-            for i in range(config.num_gate_shards)
+            for h in range(n_hosts)
         ]
         # content store of record: the sharded probe tier (O(corpus/N) per
         # actor), or None = the broadcast delta chain (_init_store_fp)
@@ -607,7 +611,6 @@ class CrawlEngine:
                 i, config.content_probe_shards, config.phash_max_hamming)
             for i in range(config.content_probe_shards)
         ] if config.content_probe_shards else None
-        self.robots = _cls(RobotsCache, 0.25).remote(store.robots)
         self.wave = 0
         self.next_seq = 0
         self.pages_fetched = 0
@@ -634,15 +637,19 @@ class CrawlEngine:
 
     # ------------------------------------------------------------------ init
     def _seed(self) -> None:
-        rows = []
+        from searchengine_ray.utils.urls import get_urlhash
+
+        seeds = []
         for u in self.config.seed_urls:
             nu = normalize(urldefrag_str(u))
-            from searchengine_ray.utils.urls import get_urlhash
-
-            h = get_urlhash(nu)
             host = nu.split("/")[2] if "//" in nu else ""
-            shard = _host_shard(host, self.config.num_gate_shards)
-            (newly,) = ray.get(self.gates[shard].seed.remote([(host, nu, h)]))
+            seeds.append((host, nu, get_urlhash(nu)))
+        # one RPC per gate host; a host runs its batches in seed order
+        flags = self._gate_rpc("seed", [
+            (_host_shard(row[0], self.config.num_gate_shards), [row])
+            for row in seeds])
+        rows = []
+        for (host, nu, _h), (newly,) in zip(seeds, flags):
             if newly:
                 pr = (self.config.priority_fn(nu, host, 0)
                       if self.config.priority_fn else 0.0)
@@ -755,20 +762,41 @@ class CrawlEngine:
             parts.append(_validate_batch(fetched, self.config.ngram_size))
         return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
 
+    def _gate_rpc(self, method: str, batches: list) -> list:
+        """Run ``batches`` [(logical shard, payload)] through gate-host
+        ``method`` — ONE RPC per gate host, the hosts in parallel, each
+        host's batches in list order; returns the replies in list order."""
+        n = len(self.gate_hosts)
+        idx = [[i for i, (s, _) in enumerate(batches) if s % n == h]
+               for h in range(n)]
+        replies = ray.get([getattr(g, method).remote([batches[i] for i in ii])
+                           for g, ii in zip(self.gate_hosts, idx)])
+        out = [None] * len(batches)
+        for ii, reply in zip(idx, replies):
+            for i, r in zip(ii, reply):
+                out[i] = r
+        return out
+
+    def _gate_all(self, method: str, payloads=None) -> list:
+        """``method`` on every logical shard; replies in shard order."""
+        return self._gate_rpc(method, list(enumerate(
+            payloads or [None] * self.config.num_gate_shards)))
+
+    def gate_memory_stats(self) -> list[dict]:
+        """``HostGateCore.memory_stats`` per logical shard, in shard order."""
+        return self._gate_all("memory_stats")
+
     def _host_gate_inline(self, links: pd.DataFrame) -> pd.DataFrame:
-        """Driver-side host-gate dispatch: one RPC per host, issued in
-        parallel across shards, each host's UNIQUE candidates in discovery
-        order (see _dedup_candidates)."""
-        frames = []
-        futures = []
+        """Driver-side host gate: each URL host's UNIQUE candidates in
+        discovery order (see _dedup_candidates), one RPC per gate host."""
+        frames, batches = [], []
         for _host, g in _dedup_candidates(links).groupby("host", sort=False):
             g = g.sort_values(["parent_rank", "link_idx"], kind="stable")
-            shard = _host_shard(_host, self.config.num_gate_shards)
-            rows = list(zip(g["host"], g["url_norm"], g["url_hash"]))
-            futures.append(self.gates[shard].process.remote(rows))
+            batches.append((_host_shard(_host, self.config.num_gate_shards),
+                            list(zip(g["host"], g["url_norm"], g["url_hash"]))))
             frames.append(g)
         out_frames = []
-        for g, out in zip(frames, ray.get(futures)):
+        for g, out in zip(frames, self._gate_rpc("process", batches)):
             g = g.copy()
             g["decision"] = out
             out_frames.append(g)
@@ -1070,46 +1098,35 @@ class CrawlEngine:
                 accepted_tbl.select(["seq", "url_norm", "links"]), allowed,
                 rank_map, extra_filter)
             if links_tbl.num_rows > 0:
-                hosts = list(set(links_tbl["host"].to_pylist()))
-                rules = (ray.get(self.robots.disallowed_prefixes.remote(hosts))
-                         if cfg.use_robots else {})
-                links_tbl = _robots_filter_table(links_tbl, rules)
+                if cfg.use_robots:
+                    links_tbl = _robots_filter_table(links_tbl,
+                                                     self.store.robots)
                 gate_res = self._host_gate_inline(links_tbl.to_pandas())
             else:
                 gate_res = _empty_gate_frame()
-            n_candidates = int(gate_res["occurrences"].sum()) if len(gate_res) else 0
         else:
-            robots_actor = self.robots
-            use_robots = cfg.use_robots
+            robots_ref = self.robots_ref if cfg.use_robots else None
             rank_ref = ray.put(rank_map)
 
             def explode_and_robots(b: pa.Table) -> pa.Table:
                 out = _explode_links(b, allowed, _get_broadcast(rank_ref),
                                      extra_filter)
-                if out.num_rows == 0 or not use_robots:
+                if out.num_rows == 0 or robots_ref is None:
                     return out
-                hosts = list(set(out["host"].to_pylist()))
-                rules = ray.get(robots_actor.disallowed_prefixes.remote(hosts))
-                return _robots_filter_table(out, rules)
+                return _robots_filter_table(out, _get_broadcast(robots_ref))
 
-            gates = self.gates
+            gate_hosts = self.gate_hosts
             nshards = cfg.num_gate_shards
 
             def host_gate(g: pd.DataFrame) -> pd.DataFrame:
-                # collapse duplicate URLs (occurrence-weighted) — the gate
-                # RPC carries only unique (hash, string) candidates, in
-                # discovery order (see _dedup_candidates for why the string
-                # is part of the key)
-                g = g.sort_values(["parent_rank", "link_idx"], kind="stable")
-                occ = g.groupby(_CAND_KEY, sort=False)["occurrences"].sum().reset_index()
-                g = (g.drop_duplicates(_CAND_KEY, keep="first")
-                     .drop(columns=["occurrences"]).merge(occ, on=_CAND_KEY)
-                     .sort_values(["parent_rank", "link_idx"], kind="stable"))
-                g["occurrences"] = g["occurrences"].astype(np.int64)
+                # the gate RPC carries only unique candidates, in discovery
+                # order (occurrence-weighted across batches)
+                g = _dedup_candidates(g)
                 host = g["host"].iloc[0]
                 shard = _host_shard(host, nshards)
                 rows = list(zip(g["host"], g["url_norm"], g["url_hash"]))
-                out = ray.get(gates[shard].process.remote(rows))
+                (out,) = ray.get(gate_hosts[shard % len(gate_hosts)]
+                                 .process.remote([(shard, rows)]))
                 g["decision"] = out
                 return g
 
@@ -1138,19 +1155,18 @@ class CrawlEngine:
                 # object store, never on the driver
                 gated = chain.materialize()
                 gate_res = None
-                n_candidates, link_dec = _gate_counts_distributed(gated)
+                totals = _gate_totals_distributed(gated)
                 # few accepts → driver seq assignment is still cheaper
                 # than the distributed append's extra all-to-all stages
                 # (frame provably bounded by the thresholds)
-                if link_dec.get("accept", 0) <= cfg.driver_link_threshold \
-                        and n_candidates <= 4 * cfg.driver_link_threshold:
+                if totals["accept"] <= cfg.driver_link_threshold \
+                        and totals["cand"] <= 4 * cfg.driver_link_threshold:
                     gate_res = gated.to_pandas()
                     if gate_res.empty:
                         gate_res = _empty_gate_frame()
         if gate_res is not None:
-            n_candidates = int(gate_res["occurrences"].sum()) if len(gate_res) else 0
-            link_dec = _link_decision_counts(gate_res)
-        link_counts = {"candidates": n_candidates}
+            totals = _gate_totals(gate_res)
+        link_dec = _link_decision_counts(totals)
 
         t_links = time.monotonic() - t0 - t_fetch - t_gate
 
@@ -1184,12 +1200,12 @@ class CrawlEngine:
 
         page_dec = Counter(order_df["decision"])
         wall = time.monotonic() - t0
-        n_cand = int(link_counts["candidates"])
+        n_cand = totals["cand"]
         n_link_dups = int(link_dec.get("dup", 0) + link_dec.get("trap", 0))
         # per-partition (gate-shard) lineage: seen-set size per shard +
         # this wave's per-host fetch counts (north-star: per-partition
         # throughput/dedup-rate metrics)
-        shard_seen = ray.get([g.seen_count.remote() for g in self.gates])
+        shard_seen = self._gate_all("seen_counts")
         per_host = order_df["url_norm"].map(
             lambda u: u.split("/")[2]).value_counts().to_dict()
         metric = {
@@ -1396,9 +1412,8 @@ class CrawlEngine:
             os.path.join(d, "crawl_order", f"wave={self.wave}"),
         )
         self.pool.snapshot_to(os.path.join(d, "frontier", f"wave={self.wave + 1}"))
-        host_deltas = ray.get([g.dump_delta.remote() for g in self.gates])
         storage.write_json_atomic(
-            {"shards": host_deltas},
+            {"shards": self._gate_all("dump_delta")},
             os.path.join(d, "state", f"wave={self.wave}", "hostgate_deltas.json"),
         )
         if self._last_delta_tbl is not None and self._last_delta_tbl.num_rows:
@@ -1464,10 +1479,7 @@ class CrawlEngine:
             sd = os.path.join(d, "state", f"wave={wv}")
             host_state = storage.read_json(
                 os.path.join(sd, "hostgate_deltas.json"))
-            ray.get([
-                g.restore_replay.remote(s["rows"], s.get("decisions"))
-                for g, s in zip(self.gates, host_state["shards"])
-            ])
+            self._gate_all("restore_replay", host_state["shards"])
             delta_tbls = []
             if storage.exists(os.path.join(sd, "content_delta")):
                 delta_tbls.append(storage.read_table(
@@ -1518,10 +1530,9 @@ class CrawlEngine:
             seen_dir = os.path.join(self.config.checkpoint_dir, "url_seen")
         else:
             seen_dir = tempfile.mkdtemp(prefix="crawl_url_seen_")
-        counts = ray.get([
-            g.dump_seen_to.remote(os.path.join(seen_dir, f"shard={i}"))
-            for i, g in enumerate(self.gates)
-        ])
+        counts = self._gate_all("dump_seen_to", [
+            os.path.join(seen_dir, f"shard={i}")
+            for i in range(self.config.num_gate_shards)])
         hold = bool(self.crawl_order_frames) or not self.config.checkpoint_dir
         return CrawlResult(
             order_frames=self.crawl_order_frames if hold else None,
@@ -1536,22 +1547,15 @@ class CrawlEngine:
         )
 
     def shutdown(self, timeout_s: float = 15.0) -> None:
-        """Terminate the engine's actors and WAIT for their resources to
-        release.  Fire-and-forget ``ray.kill`` is a cross-engine deadlock:
-        the KillActor RPC can race worker reassignment and be dropped
-        ("Mismatched ActorID: ignoring KillActor"), leaving an actor
-        holding its CPU reservation — the NEXT engine on a small session
-        then can't schedule (gates are 0.5 CPU each; two engines' worth
-        exceeds the 4-CPU test fixture, measured as an infinite
-        ``ray.get`` hang in the suite).  Graceful ``__ray_terminate__``
-        drains and releases deterministically; anything still alive at
-        ``timeout_s`` gets a force-kill.  Finally WAIT (bounded) until the
-        raylet's available-CPU actually rises by the engine's reservation:
-        actor death and resource release are separate events, and a stale
-        raylet accounting (worker IDLE, reservation never returned —
-        observed live) otherwise strands the next engine/Dataset tasks.
-        A leak that persists past the wait is warned loudly instead of
-        surfacing later as an unexplained scheduling hang."""
+        """Terminate the engine's actors and WAIT for their CPU reservation
+        to return.  Fire-and-forget ``ray.kill`` can be dropped ("Mismatched
+        ActorID: ignoring KillActor") and leave the reservation held, which
+        hangs the NEXT engine on a small session; graceful
+        ``__ray_terminate__`` releases deterministically, with a force-kill
+        at ``timeout_s``.  Actor death and resource release are separate
+        raylet events (a stale reservation was observed live), so the
+        available CPU is polled (bounded) and a persistent leak is warned
+        loudly instead of surfacing later as a scheduling hang."""
         if getattr(self, "_shutdown_done", False):
             return
         self._shutdown_done = True
@@ -1561,10 +1565,7 @@ class CrawlEngine:
 
             drop_store_index()
         avail0 = ray.available_resources().get("CPU", 0.0)
-        actors = list(self.gates)
-        if self.probe_tier is not None:
-            actors.extend(self.probe_tier)
-        actors.append(self.robots)
+        actors = self.gate_hosts + (self.probe_tier or [])
         refs, by_ref = [], {}
         for a in actors:
             try:

@@ -1,13 +1,15 @@
-"""Long-lived gate actors — the crawl's cross-wave mutable state.
+"""Long-lived gate state — the crawl's cross-wave mutable state.
 
-Three actor families replace the reference's lock-guarded module globals
-(SURVEY.md §2.3):
+Two actors and one plain core replace the reference's lock-guarded module
+globals (SURVEY.md §2.3):
 
-- ``HostGateShard`` (T5/D3/D4): URL-seen set + per-host trap detector,
-  sharded by ``hash(host) % num_shards``.  URL similarity is 0 across hosts
-  (link_similarity.py:106-112), so host-sharding is EXACTLY the reference's
-  global seen-set semantics.  Exact dedup uses a cuckoo filter fast path
-  ("definitely new" has no false negatives) backed by an exact hash set.
+- ``HostGateCore`` (T5/D3/D4): URL-seen set + per-host trap detector for one
+  logical shard of ``hash(host) % num_shards``, hosted with other shards'
+  cores in a ``HostGateShard`` actor process (one RPC serves them all).
+  URL similarity is 0 across hosts (link_similarity.py:106-112), so
+  host-sharding is EXACTLY the reference's global seen-set semantics.
+  Exact dedup uses a cuckoo filter fast path ("definitely new" has no false
+  negatives) backed by an exact hash set.
 - ``ContentProbeShard`` (T4/D5, tier mode): one row-shard of the accepted
   page content store (caption shingles + image phash).  A new page is
   rejected when (a) caption-shingle Jaccard vs ANY accepted page exceeds
@@ -21,15 +23,13 @@ Three actor families replace the reference's lock-guarded module globals
   O(N²) scan) and pigeonhole phash bands (hamming ≤ t ⇒ ≥1 equal band of
   t+1) — provably the reference's accept/reject set, in the same order
   (SURVEY.md §7 hard part 2).
-- ``RobotsCache``: per-host robots rules cache (north-star component); rules
-  are supplied by the fetch layer (synthetic store in tests) and cached.
 
 Checkpointing is INCREMENTAL: ``dump_delta``/``restore_replay`` move only
 each wave's admits (O(wave)); resume is bit-identical because every decision
 is content-derived and ordered by the deterministic FIFO ``seq`` (SURVEY.md
-§7 hard part 6).  Result-time state exports are streaming: ``dump_seen_to``
-writes each shard's seen set actor-side (the driver handles only paths and
-counts) and ``contains_hashes`` answers bounded membership probes.
+§7 hard part 6).  The result-time seen-set export is streaming:
+``dump_seen_to`` writes each shard's seen set actor-side (the driver
+handles only paths and counts).
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from searchengine_ray.state.cuckoo import CuckooFilter
 from searchengine_ray.state.seenset import SeenSet
 
 
-@ray.remote(num_cpus=0.5)
-class HostGateShard:
-    """Seen-set + trap gate for the hosts hashing to this shard.
+class HostGateCore:
+    """Seen-set + trap gate for the hosts hashing to one logical shard.
 
     The trap check uses ``TrapIndex`` — exact sub-quadratic equivalent of
     the reference's all-pairs scan (the reference corpus's 58%-skew host
@@ -137,9 +136,6 @@ class HostGateShard:
                     break
         self.trap_index.add(url_norm)
 
-    def seen_count(self) -> int:
-        return len(self.seen)
-
     def memory_stats(self) -> dict:
         """Per-structure resident-byte estimates — the per-partition lineage
         for the bounded-state invariant (recorded by scripts/run_crawl_job)."""
@@ -175,11 +171,6 @@ class HostGateShard:
             pa.table({"url_hash": pa.array(hashes, pa.string())}), path)
         return len(hashes)
 
-    def contains_hashes(self, url_hashes: list[str]) -> list[bool]:
-        """Membership probe — the bounded-RPC alternative to shipping the
-        seen set to the caller."""
-        return [bytes.fromhex(h) in self.seen for h in url_hashes]
-
     def dump_delta(self) -> dict:
         """Admits since the last dump_delta — the O(wave) checkpoint unit.
         Carries the CUMULATIVE decision counters (O(1)) so resumed crawls
@@ -200,6 +191,41 @@ class HostGateShard:
         if decisions is not None:
             self.decisions = dict(decisions)
         self._delta = []
+
+
+@ray.remote(num_cpus=0.5)
+class HostGateShard:
+    """Gate host: one process holding the ``HostGateCore`` of each logical
+    shard placed on it.  Every method takes [(logical shard, payload)]
+    batches and replies one entry per batch, in batch order."""
+
+    def __init__(self, shard_ids: list[int], url_similarity_threshold: float,
+                 track_deltas: bool = False):
+        self.cores = {i: HostGateCore(i, url_similarity_threshold, track_deltas)
+                      for i in shard_ids}
+
+    def seed(self, batches: list) -> list[list[bool]]:
+        return [self.cores[s].seed(rows) for s, rows in batches]
+
+    def process(self, batches: list) -> list[list[str]]:
+        return [self.cores[s].process(rows) for s, rows in batches]
+
+    def restore_replay(self, batches: list) -> list[None]:
+        return [self.cores[s].restore_replay(d["rows"], d.get("decisions"))
+                for s, d in batches]
+
+    def dump_seen_to(self, batches: list) -> list[int]:
+        return [self.cores[s].dump_seen_to(path) for s, path in batches]
+
+    def dump_delta(self, batches: list) -> list[dict]:
+        return [self.cores[s].dump_delta() for s, _ in batches]
+
+    def seen_counts(self, batches: list) -> list[int]:
+        return [len(self.cores[s].seen) for s, _ in batches]
+
+    def memory_stats(self, batches: list) -> list[dict]:
+        return [self.cores[s].memory_stats() for s, _ in batches]
+
 
 class WaveGate:
     """Sequential content near-dup gate over ONE wave's rows — dict-backed,
@@ -325,27 +351,3 @@ class ContentProbeShard:
                 "accepted": self.accepted_count(),
                 "index_bytes": self.index.nbytes(),
                 "segments": len(self.index.segments)}
-
-
-@ray.remote(num_cpus=0.25)
-class RobotsCache:
-    """Per-host robots rules cache.  ``rules_source`` is a dict
-    host → list of disallowed path prefixes (the synthetic stand-in for
-    fetching /robots.txt; a real deployment plugs an HTTP fetcher here)."""
-
-    def __init__(self, rules_source: dict[str, list[str]] | None = None):
-        self.rules_source = rules_source or {}
-        self.cache: dict[str, tuple[str, ...]] = {}
-        self.misses = 0
-
-    def disallowed_prefixes(self, hosts: list[str]) -> dict[str, tuple[str, ...]]:
-        out = {}
-        for h in hosts:
-            if h not in self.cache:
-                self.misses += 1
-                self.cache[h] = tuple(self.rules_source.get(h, ()))
-            out[h] = self.cache[h]
-        return out
-
-    def stats(self) -> dict:
-        return {"cached_hosts": len(self.cache), "misses": self.misses}

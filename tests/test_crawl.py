@@ -606,13 +606,10 @@ def test_resume_restores_decision_counters(ray_session, store, tmp_path):
     survive a checkpoint/resume: a resumed crawl's final counters equal a
     straight-through run's — not a since-resume view (dump_delta carries
     the cumulative snapshot; restore_replay applies the last one)."""
-    import ray as _ray
-
     from searchengine_ray.pipelines.crawl import CrawlEngine
 
     def counters(eng):
-        stats = _ray.get([g.memory_stats.remote() for g in eng.gates])
-        return [s["decisions"] for s in stats]
+        return [s["decisions"] for s in eng.gate_memory_stats()]
 
     eng_full = CrawlEngine(store, _config(store))
     eng_full.run()
@@ -643,9 +640,9 @@ def test_shutdown_returns_state_actor_cpu_reservation(ray_session, store):
 
     from searchengine_ray.pipelines.crawl import CrawlEngine
 
-    # one engine's default reservation (4×0.5 gate shards + 0.25 robots
-    # cache = 2.25) fits the 4-CPU fixture; quiesce first so the baseline
-    # is stable
+    # one engine's default reservation (0.5 per gate host; the 4-CPU
+    # fixture gets one host for its 4 logical shards) fits the fixture;
+    # quiesce first so the baseline is stable
     deadline = _time.monotonic() + 30
     while (_ray.available_resources().get("CPU", 0.0) < 3.9
            and _time.monotonic() < deadline):
@@ -654,8 +651,77 @@ def test_shutdown_returns_state_actor_cpu_reservation(ray_session, store):
     cfg = _config(store, max_waves=1)
     cfg = type(cfg)(**{**cfg.__dict__, "state_actor_num_cpus": None})
     eng = CrawlEngine(store, cfg)
-    assert eng._actor_cpu_reserved == 2.25
+    assert len(eng.gate_hosts) == 1
+    assert eng._actor_cpu_reserved == 0.5
     eng.run()
     eng.shutdown()
     after = _ray.available_resources().get("CPU", 0.0)
     assert after >= before - 0.01, (before, after)
+
+
+def test_gate_host_count_rule():
+    """One gate-host process per 4 cluster CPUs, at most one per logical
+    shard: the bench's 8 processes at 32 CPUs, one on small hosts."""
+    from searchengine_ray.pipelines.crawl import _gate_host_count
+
+    for cpus, shards, hosts in [(1, 8, 1), (4, 8, 1), (8, 8, 2), (32, 8, 8),
+                                (64, 4, 4)]:
+        assert _gate_host_count(cpus, shards) == hosts, (cpus, shards)
+
+
+@pytest.mark.parametrize("hosts_before,hosts_after", [(1, 4), (4, 1)])
+def test_resume_under_other_gate_placement(ray_session, store, tmp_path,
+                                           monkeypatch, hosts_before,
+                                           hosts_after):
+    """The logical shard, not the process, is the checkpoint unit: a crawl
+    checkpointed with H gate hosts resumes under a different H and still
+    matches the oracle, with the same per-shard url_seen tables."""
+    from searchengine_ray.pipelines import crawl as crawl_mod
+    from searchengine_ray.sources import storage
+
+    def run(n_hosts, resume=False, **kw):
+        monkeypatch.setattr(crawl_mod, "_gate_host_count",
+                            lambda cpus, shards: n_hosts)
+        cfg = _config(store, **kw)
+        eng = (crawl_mod.CrawlEngine.resume if resume
+               else crawl_mod.CrawlEngine)(store, cfg)
+        assert len(eng.gate_hosts) == n_hosts
+        try:
+            return eng.run()
+        finally:
+            eng.shutdown()
+
+    ckpt = str(tmp_path / "ckpt")
+    run(hosts_before, checkpoint_dir=ckpt, max_waves=2)
+    res = run(hosts_after, resume=True, checkpoint_dir=ckpt)
+    _assert_match(res, crawl_oracle(store, _config(store)))
+    straight = run(hosts_before)
+    assert res.shard_seen_counts == straight.shard_seen_counts
+    assert [storage.read_table(os.path.join(res.seen_dir, f"shard={i}")).num_rows
+            for i in range(4)] == res.shard_seen_counts
+
+
+@pytest.mark.parametrize("threshold", [None, 0], ids=["default", "distributed"])
+def test_engines_with_different_robots_rules(ray_session, store, threshold):
+    """Robots rules are engine data broadcast per engine: two engines in
+    one session on stores with different rules, alternating waves, each
+    match their own oracle on both wave routes (a per-worker broadcast
+    memo must never serve one engine's rules to the other)."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    other = make_store(n_pages=80, seed=42)
+    other.robots = {"host0.test": ["/research/"]}
+    stores = [store, other]
+    kw = {} if threshold is None else {"inline_wave_threshold": threshold}
+    oracles = [crawl_oracle(s, _config(s, **kw)) for s in stores]
+    assert oracles[0].crawl_order != oracles[1].crawl_order
+    engines = [CrawlEngine(s, _config(s, **kw)) for s in stores]
+    try:
+        running = list(engines)
+        while running:
+            running = [e for e in running if e.run_wave()]
+        for eng, oracle in zip(engines, oracles):
+            _assert_match(eng.result(), oracle)
+    finally:
+        for eng in engines:
+            eng.shutdown()

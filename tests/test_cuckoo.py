@@ -54,11 +54,9 @@ def test_gate_degrades_on_pathological_keys():
     """If even a regrown filter rejects (all keys colliding), the gate must
     fall back to the exact set — never lose dup detection."""
     from searchengine_ray.state.cuckoo import CuckooFilter as CF
-    from searchengine_ray.state.gates import HostGateShard
+    from searchengine_ray.state.gates import HostGateCore
 
-    Gate = HostGateShard.__ray_metadata__.modified_class
-    g = Gate.__new__(Gate)
-    Gate.__init__(g, 0, 0.85)
+    g = HostGateCore(0, 0.85)
     g.cuckoo = CF(capacity=64)
     g._cuckoo_key = lambda h: 7  # adversarial: every key identical
     rows = [("h.test", f"https://h.test/d{i}/p", f"{i:064x}") for i in range(40)]
@@ -72,25 +70,20 @@ def test_gate_degrades_on_pathological_keys():
     assert all(d == "dup" for d in out2)
 
 
-def test_gate_regrows_past_filter_capacity(ray_session):
-    """HostGateShard must stay exact even when the cuckoo filter fills."""
-    import ray
+def test_gate_regrows_past_filter_capacity():
+    """The gate core must stay exact even when the cuckoo filter fills."""
+    from hashlib import sha256
 
-    from searchengine_ray.state.gates import HostGateShard
+    from searchengine_ray.state.gates import HostGateCore
 
-    gate = HostGateShard.remote(0, 0.85)
-    try:
-        from hashlib import sha256
-
-        rows = [("h.test", f"https://h.test/d{i}/p",
-                 sha256(str(i).encode()).hexdigest()) for i in range(300)]
-        out1 = ray.get(gate.process.remote(rows))
-        assert all(d == "accept" for d in out1)
-        # duplicates must ALL be flagged dup — exactness preserved
-        out2 = ray.get(gate.process.remote(rows))
-        assert all(d == "dup" for d in out2), out2[:5]
-        stats = ray.get(gate.memory_stats.remote())
-        assert stats["cuckoo_degraded"] is False
-        assert 0.0 < stats["cuckoo_load"] < 1.0
-    finally:
-        ray.kill(gate)
+    gate = HostGateCore(0, 0.85)
+    rows = [("h.test", f"https://h.test/d{i}/p",
+             sha256(str(i).encode()).hexdigest()) for i in range(300)]
+    out1 = gate.process(rows)
+    assert all(d == "accept" for d in out1)
+    # duplicates must ALL be flagged dup — exactness preserved
+    out2 = gate.process(rows)
+    assert all(d == "dup" for d in out2), out2[:5]
+    stats = gate.memory_stats()
+    assert stats["cuckoo_degraded"] is False
+    assert 0.0 < stats["cuckoo_load"] < 1.0
