@@ -78,17 +78,21 @@ class CrawlConfig:
     fetch_concurrency: int = 8
     fetch_batch_size: int = 256
     checkpoint_dir: str | None = None
-    # accepted-link volume above which frontier(w+1) seq assignment and
-    # pool append run DISTRIBUTED (per-parent prefix-sum rank + streamed
-    # add) instead of on the driver: the distributed path costs ~3 extra
+    # link-candidate volume that picks the host-gate route.  A wave with
+    # wave_pages × max_links_per_page ≤ this (and every inline wave) pulls
+    # its accepted pages' link candidates to the driver and gates them with
+    # one RPC per gate host — no Ray Data job, no shuffle.  Above it, the
+    # candidates are gated in a groupby(host) shuffle, and frontier(w+1)
+    # seq assignment + pool append run DISTRIBUTED (per-parent prefix-sum
+    # rank + streamed add) once the accepted links exceed it too: ~3 extra
     # all-to-all stages per wave — pure overhead for small waves, the only
-    # shape that works for giant ones
+    # shape that works for giant ones.  0 forces the shuffle route
     driver_link_threshold: int = 200_000
-    # upper bound on links per fetched page, used ONLY by the size-routing
-    # guard (wave_pages × this ≤ driver_link_threshold ⇒ the wave's gate
+    # upper bound on links per fetched page, used ONLY by that size guard
+    # (wave_pages × this ≤ driver_link_threshold ⇒ the wave's candidate
     # frame provably fits on the driver).  The synthetic stores emit ≤ 64
     # links/page; a higher-fanout corpus must raise this or big waves will
-    # collect oversized frames on the driver (memory hazard, not
+    # pull oversized candidate frames to the driver (memory hazard, not
     # correctness — both routes are conformance-identical)
     max_links_per_page: int = 64
     # frontier pool storage: None = driver-side pandas (small crawls);

@@ -61,8 +61,12 @@ def encode_png(pixels: np.ndarray) -> bytes:
 
 def _unfilter(raw: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:
     """Undo PNG scanline filters (types 0-4)."""
-    out = np.zeros((h, stride), dtype=np.uint8)
     rows = raw.reshape(h, 1 + stride)
+    if not rows[:, 0].any():
+        # every scanline is filter type 0 (all PNGs ``encode_png`` writes):
+        # the pixels are the rows minus their filter byte
+        return np.ascontiguousarray(rows[:, 1:])
+    out = np.zeros((h, stride), dtype=np.uint8)
     for y in range(h):
         ft = rows[y, 0]
         line = rows[y, 1:].astype(np.int32)

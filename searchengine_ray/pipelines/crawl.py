@@ -6,15 +6,18 @@ Each wave is a bounded Ray Data pipeline (SURVEY.md §3.3):
       → fetch          map_batches(Fetcher actor pool)   [politeness pacing]
       → validate       map_batches: decode image, enforce per-row invariants,
                        caption shingles + phash fingerprints
+      → link cands     same map: every live page's links are exploded
+                       (resolve/defrag/is_valid/canonicalize) and robots-
+                       filtered into a per-page ``cands`` column
       → content gate   store probe (parallel, read-only) + sequential
                        resolve in processing order — exact reference
                        semantics (stages/content_probe.resolve_wave)
       → pages sink     accepted payload rows → wave-partitioned table
-      → link explode   map_batches: resolve/defrag/is_valid/canonicalize
-      → robots filter  the store's robots rules, broadcast once per engine
-      → host gate      groupby(host).map_groups → logical gate shards, many
+      → host gate      the ACCEPTED pages' cands → logical gate shards, many
                        per gate-host actor (exact URL dedup + trap
-                       similarity, in discovery order)
+                       similarity, in discovery order): one RPC per gate
+                       host from the driver, or — giant waves only —
+                       groupby(host).map_groups
       → frontier(w+1)  accepted candidates, FIFO seq assigned
 
 Determinism/ordering contract: the engine reproduces the single-threaded
@@ -39,6 +42,11 @@ Scale notes (10^10-URL frontier):
   wave's verdicts are the store probe + the exact sequential resolve —
   on the driver (``resolve_wave``) or, for giant waves, distributed
   (``_resolve_wave_distributed``); wave size alone picks the route.
+- the host gate has two routes, chosen by size: a wave whose candidates
+  are bounded by ``driver_link_threshold`` (wave pages ×
+  ``max_links_per_page``) flattens its accepted pages' cands on the driver;
+  a giant wave gates them in a groupby(host) shuffle and may append to the
+  frontier distributed.
 - host-gate shards scale horizontally: URL similarity is 0 across hosts
   (link_similarity.py:106-112), so per-host state never crosses shards.
   A shard is logical (the checkpoint unit); ``_gate_host_count`` places
@@ -308,40 +316,110 @@ def _validate_batch(batch: pa.Table, ngram_size: int) -> pa.Table:
     )
 
 
-def _explode_links(batch: pa.Table, allowed_domains, rank_map: dict[int, int],
-                   extra_filter=None) -> pa.Table:
-    """Accepted page → candidate link rows with PROCESSING-order keys
-    (reference M10/M9/M6-M8 in one pass).  ``rank_map`` maps page seq →
-    this wave's processing rank (= seq order under FIFO; priority order
-    when a priority_fn is set); ``extra_filter`` is the user's additional
-    is_valid rule (README.md:113-114)."""
+def _explode_links(batch: pa.Table, allowed_domains, extra_filter=None) -> pa.Table:
+    """Pages (url_norm, links) → candidate link rows (reference M10/M9/M6-M8
+    in one pass): ``row`` is the page's row in ``batch``; ``extra_filter``
+    is the user's additional is_valid rule (README.md:113-114).
+
+    Each distinct absolute link (scheme + netloc) resolves once per batch:
+    ``urljoin`` of a netloc-bearing link depends on its base only through
+    the base's scheme (dot segments are resolved only for relative links),
+    so a batch-local memo keyed on (page scheme, raw link) is exact.
+    Relative links resolve per occurrence."""
+    from urllib.parse import urlsplit
+
     from searchengine_ray.utils.urls import get_urlhash
 
-    parents = batch["seq"].to_pylist()
-    urls = batch["url_norm"].to_pylist()
-    links = batch["links"].to_pylist()
-    o_rank, o_parent, o_idx, o_url, o_hash, o_host = [], [], [], [], [], []
-    for parent_seq, page_url, lst in zip(parents, urls, links):
-        rank = rank_map[parent_seq]
-        for idx, raw in enumerate(lst or []):
-            resolved = normalize(urldefrag_str(join_url(page_url, raw)))
-            if not is_valid(resolved, allowed_domains):
-                continue
-            if extra_filter is not None and not extra_filter(resolved):
-                continue
-            o_rank.append(rank)
-            o_parent.append(parent_seq)
-            o_idx.append(idx)
-            o_url.append(resolved)
-            o_hash.append(get_urlhash(resolved))
-            o_host.append(resolved.split("/")[2])
+    memo: dict[tuple[str, str], tuple] = {}
+    o_row, o_idx, o_url, o_hash, o_host = [], [], [], [], []
+    for row, (page_url, lst) in enumerate(zip(batch["url_norm"].to_pylist(),
+                                              batch["links"].to_pylist())):
+        if not lst:
+            continue
+        scheme = urlsplit(page_url).scheme
+        for idx, raw in enumerate(lst):
+            cand = memo.get((scheme, raw))
+            if cand is None:
+                resolved = normalize(urldefrag_str(join_url(page_url, raw)))
+                cand = (() if not is_valid(resolved, allowed_domains) or (
+                    extra_filter is not None and not extra_filter(resolved))
+                    else (resolved, get_urlhash(resolved), resolved.split("/")[2]))
+                if "://" in raw:
+                    parts = urlsplit(raw)
+                    if parts.scheme and parts.netloc:
+                        memo[(scheme, raw)] = cand
+            if cand:
+                o_row.append(row)
+                o_idx.append(idx)
+                o_url.append(cand[0])
+                o_hash.append(cand[1])
+                o_host.append(cand[2])
     return pa.table({
-        "parent_rank": pa.array(o_rank, pa.int64()),
-        "parent_seq": pa.array(o_parent, pa.int64()),
+        "row": pa.array(o_row, pa.int64()),
         "link_idx": pa.array(o_idx, pa.int32()),
         "url_norm": pa.array(o_url, pa.string()),
         "url_hash": pa.array(o_hash, pa.string()),
         "host": pa.array(o_host, pa.string()),
+    })
+
+
+_CAND_FIELDS = ["link_idx", "url_norm", "url_hash", "host"]
+
+
+def _link_candidates(batch: pa.Table, allowed_domains, extra_filter,
+                     robots: dict | None) -> pa.Table:
+    """Replace a validated batch's raw ``links`` with ``cands``: for every
+    live row (status 200 and integrity_ok) its links exploded, filtered
+    (is_valid, ``extra_filter``) and robots-filtered (``robots`` = host →
+    disallowed path prefixes, None = no robots check), as
+    list<struct<link_idx, url_norm, url_hash, host>> aligned to the rows.
+    Page-local work, so it runs in the fetch map for every page; the
+    content decision later picks whose cands reach the host gate."""
+    import pyarrow.compute as pc
+
+    live = pc.and_(pc.equal(batch["status"], 200), batch["integrity_ok"])
+    rows = np.flatnonzero(live.to_numpy(zero_copy_only=False))
+    flat = _explode_links(batch.select(["url_norm", "links"]).take(rows),
+                          allowed_domains, extra_filter)
+    if robots:
+        flat = _robots_filter_table(flat, robots)
+    counts = np.bincount(rows[flat["row"].to_numpy()], minlength=batch.num_rows)
+    offsets = np.zeros(batch.num_rows + 1, dtype=np.int32)
+    np.cumsum(counts, out=offsets[1:])
+    cands = pa.ListArray.from_arrays(
+        pa.array(offsets), pa.StructArray.from_arrays(
+            [flat[c].combine_chunks() for c in _CAND_FIELDS], _CAND_FIELDS))
+    return batch.drop_columns(["links"]).append_column("cands", cands)
+
+
+def _validate_and_link(batch: pa.Table, ngram_size: int, link_spec) -> pa.Table:
+    """Fetch-task tail: validate, then ``_link_candidates`` with the robots
+    rules read from the engine's broadcast.  ``link_spec`` =
+    (allowed_domains, extra_link_filter, robots ref or None)."""
+    allowed, extra_filter, robots_ref = link_spec
+    return _link_candidates(
+        _validate_batch(batch, ngram_size), allowed, extra_filter,
+        _get_broadcast(robots_ref) if robots_ref is not None else None)
+
+
+def _flatten_candidates(acc: pa.Table, rank_map: dict[int, int]) -> pd.DataFrame:
+    """Accepted pages' (seq, cands) → one candidate row per link, keyed by
+    its parent's processing rank (``rank_map``: page seq → rank in this
+    wave = seq order under FIFO, priority order under a priority_fn)."""
+    import pyarrow.compute as pc
+
+    cands = acc["cands"].combine_chunks()
+    parent = pc.list_parent_indices(cands).to_numpy()
+    seqs = acc["seq"].to_numpy()
+    ranks = np.fromiter((rank_map[s] for s in seqs.tolist()), dtype=np.int64,
+                        count=len(seqs))
+    flat = dict(zip(_CAND_FIELDS, pc.list_flatten(cands).flatten()))
+    return pd.DataFrame({
+        "parent_rank": ranks[parent],
+        "parent_seq": seqs[parent].astype(np.int64),
+        "link_idx": flat["link_idx"].to_numpy(),
+        **{c: flat[c].to_numpy(zero_copy_only=False)
+           for c in ("url_norm", "url_hash", "host")},
     })
 
 
@@ -373,13 +451,15 @@ def _robots_filter_table(b: pa.Table, rules: dict) -> pa.Table:
 
 
 @ray.remote
-def _spec_fetch_validate(store, tbl: pa.Table, ngram_size: int) -> pa.Table:
+def _spec_fetch_validate(store, tbl: pa.Table, ngram_size: int,
+                         link_spec) -> pa.Table:
     """Speculative fetch+validate of PREDICTED next-wave rows (wave
-    pipelining).  Pure data work — decode, phash, shingles; no store probe,
-    no gate state — so running it early cannot change any decision; output
-    rows are keyed by seq and consumed by whichever wave the seq lands in."""
+    pipelining).  Pure data work — decode, phash, shingles, link
+    candidates; no store probe, no gate state — so running it early cannot
+    change any decision; output rows are keyed by seq and consumed by
+    whichever wave the seq lands in."""
     f = Fetcher(store, 0.0)
-    return _validate_batch(f(tbl), ngram_size)
+    return _validate_and_link(f(tbl), ngram_size, link_spec)
 
 
 def _empty_gate_frame() -> pd.DataFrame:
@@ -448,6 +528,13 @@ def _link_decision_counts(t: dict) -> dict:
     out = {"accept": t["accept"], "dup": t["accept_dup_occ"] - t["accept"],
            "trap": t["trap_occ"]}
     return {k: v for k, v in out.items() if v or k == "accept"}
+
+
+def _route_record(driver: bool, size: int, knob: str, threshold: int) -> dict:
+    """Per-wave route record: the route taken, the size its router compared
+    and the config knob (name, value) it was compared against."""
+    return {"route": "driver" if driver else "distributed", "size": int(size),
+            "knob": knob, "threshold": threshold}
 
 
 class CrawlResult:
@@ -581,6 +668,9 @@ class CrawlEngine:
             self.store_ref = ray.put(store_to_arrow(store.pages))
         # robots rules: read-only store data, broadcast once per engine
         self.robots_ref = ray.put(store.robots)
+        # what a fetch task needs to emit link candidates (_validate_and_link)
+        self._link_spec = (config.allowed_domains, config.extra_link_filter,
+                           self.robots_ref if config.use_robots else None)
         # state-actor CPU reservations: class defaults, or the config
         # override (0 on small shared sessions — see CrawlConfig docs).
         # Track the total actually reserved so shutdown can verify the
@@ -740,7 +830,8 @@ class CrawlEngine:
     # ------------------------------------------------- inline (small-wave) --
     def _fetch_validate_inline(self, wave_df: pd.DataFrame) -> pa.Table:
         """Driver-side fetch+validate for small waves — same kernels as the
-        distributed path (Fetcher.__call__ + _validate_batch); speculative
+        distributed path (Fetcher.__call__ + _validate_batch +
+        _link_candidates, robots from the store itself); speculative
         results for these seqs are consumed instead of refetched."""
         import pyarrow.compute as pc
 
@@ -757,9 +848,12 @@ class CrawlEngine:
             if not hasattr(self, "_inline_fetcher"):
                 self._inline_fetcher = Fetcher(self.store_ref,
                                                self.config.politeness_delay)
+            cfg = self.config
             batch = pa.Table.from_pandas(rest, preserve_index=False)
-            fetched = self._inline_fetcher(batch)
-            parts.append(_validate_batch(fetched, self.config.ngram_size))
+            parts.append(_link_candidates(
+                _validate_batch(self._inline_fetcher(batch), cfg.ngram_size),
+                cfg.allowed_domains, cfg.extra_link_filter,
+                self.store.robots if cfg.use_robots else None))
         return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
 
     def _gate_rpc(self, method: str, batches: list) -> list:
@@ -842,7 +936,7 @@ class CrawlEngine:
             chunk = new.iloc[i:i + bs]
             tbl = pa.Table.from_pandas(chunk[cols], preserve_index=False)
             ref = _spec_fetch_validate.remote(
-                self.store_ref, tbl, self.config.ngram_size)
+                self.store_ref, tbl, self.config.ngram_size, self._link_spec)
             seqs = chunk["seq"].to_numpy(dtype=np.int64)
             self._spec.append((ref, seqs))
             self._spec_seqs.update(int(s) for s in seqs)
@@ -909,6 +1003,7 @@ class CrawlEngine:
             probe = self._store_probe()
             ngram_size = cfg.ngram_size
             store_ref = self.store_ref
+            link_spec = self._link_spec
             spec_refs, covered = self._spec_hits(wave_df)
             fetch_df = (wave_df[~wave_df["seq"].isin(covered)]
                         if covered else wave_df)
@@ -927,8 +1022,8 @@ class CrawlEngine:
                 # survived every suite since round 1.
                 ncpu = int(ray.cluster_resources().get("CPU", 8))
                 # ≥8 rows per block, capped at 4×CPUs: small waves still
-                # fan out (links explode ~fanout× rows), big waves get
-                # full blocks
+                # fan out (each page's links explode in its fetch task),
+                # big waves get full blocks
                 nblocks = max(1, min(len(fetch_df) // 8 + 1, 4 * ncpu))
                 wave_ds = rd.from_pandas(fetch_df).repartition(nblocks)
                 if cfg.politeness_delay > 0:
@@ -941,14 +1036,14 @@ class CrawlEngine:
                         concurrency=(1, cfg.fetch_concurrency), num_cpus=0.25,
                     )
                     parts.append(fetched.map_batches(
-                        lambda b: _validate_batch(b, ngram_size),
+                        lambda b: _validate_and_link(b, ngram_size, link_spec),
                         batch_format="pyarrow"))
                 else:
                     # stateless fetch+validate tasks — no per-wave actor
                     # pool spin-up; broadcasts memoized per worker
                     def fetch_validate(b: pa.Table) -> pa.Table:
                         f = Fetcher(_get_broadcast(store_ref), 0.0)
-                        return _validate_batch(f(b), ngram_size)
+                        return _validate_and_link(f(b), ngram_size, link_spec)
 
                     parts.append(wave_ds.map_batches(
                         fetch_validate, batch_format="pyarrow",
@@ -975,6 +1070,25 @@ class CrawlEngine:
 
         t_fetch = time.monotonic() - t0
 
+        # ---- routes: wave size alone picks each (CrawlConfig thresholds) --
+        # the candidate bound assumes ≤ max_links_per_page links per page
+        n_pages = len(wave_df)
+        n_cand_bound = n_pages * cfg.max_links_per_page
+        driver_resolve = inline or n_pages <= cfg.driver_fp_threshold
+        driver_links = inline or n_cand_bound <= cfg.driver_link_threshold
+        if inline:
+            routes = {k: _route_record(True, n_pages, "inline_wave_threshold",
+                                       cfg.inline_wave_threshold)
+                      for k in ("resolve_route", "link_route")}
+        else:
+            routes = {
+                "resolve_route": _route_record(
+                    driver_resolve, n_pages, "driver_fp_threshold",
+                    cfg.driver_fp_threshold),
+                "link_route": _route_record(
+                    driver_links, n_cand_bound, "driver_link_threshold",
+                    cfg.driver_link_threshold)}
+
         # ---- content gate: compact fingerprints only, in seq order --------
         # Arrow end to end: pandas conversion of the list<int64> shingle
         # column costs ~10× the gate loop itself at 10^5-row waves.
@@ -982,20 +1096,24 @@ class CrawlEngine:
 
         fp_cols = ["seq", "status", "integrity_ok", "shingles", "phash"]
         decision = None
-        if inline or len(wave_df) <= cfg.driver_fp_threshold:
+        acc_cands = None  # driver link route: accepted pages' (seq, cands)
+        if driver_resolve:
             # driver resolve: the wave's fingerprints + store flags in
             # processing order → live rows → exact sequential resolve.
             # Inline waves probe the store here; distributed ones carry the
-            # flags their fetch tasks computed.
+            # flags their fetch tasks computed.  The driver link route
+            # pulls the pages' cands in the same projection.
             from searchengine_ray.stages.content_probe import resolve_wave
 
             flag_cols = ["store_text_dup", "store_image_dup"]
+            cand_cols = ["cands"] if driver_links else []
             if inline:
-                fp_tbl = _with_store_flags(validated_tbl.select(fp_cols),
-                                           self._store_probe())
+                fp_tbl = _with_store_flags(
+                    validated_tbl.select(fp_cols + cand_cols),
+                    self._store_probe())
             else:
                 fp_tbl = pa.concat_tables(ray.get(validated.select_columns(
-                    fp_cols + flag_cols).to_arrow_refs()))
+                    fp_cols + flag_cols + cand_cols).to_arrow_refs()))
             fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
                 [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
             live_full = fp_tbl.filter(
@@ -1009,6 +1127,10 @@ class CrawlEngine:
                 cfg.content_max_similarity, cfg.phash_max_hamming,
             )
             self._append_store_fp(live_tbl, gate_out)
+            if driver_links:
+                acc_cands = live_full.filter(pa.array(
+                    [d == "accept" for d in gate_out], pa.bool_())
+                ).select(["seq", "cands"])
         else:
             # GIANT wave: the fingerprints (shingle lists) never concat on
             # the driver — distributed interaction graph, interacting-only
@@ -1045,8 +1167,6 @@ class CrawlEngine:
         pages_dir = None
         accepted_arr = pa.array(sorted(accepted_seqs), type=pa.int64())
         if inline:
-            import pyarrow.compute as pc
-
             mask = pc.is_in(validated_tbl["seq"], value_set=accepted_arr)
             accepted_tbl = validated_tbl.filter(mask)
             if cfg.checkpoint_dir:
@@ -1084,39 +1204,30 @@ class CrawlEngine:
                 if os.path.exists(pages_dir):
                     shutil.rmtree(pages_dir)
                 os.replace(tmp, pages_dir)
-            # links only need 3 small columns — prune BEFORE the filter so
-            # the image payload bytes never move through the link pipeline
-            accepted_ds = validated.select_columns(
-                ["seq", "url_norm", "links"]
-            ).map_batches(keep_accepted, batch_format="pyarrow")
 
-        # ---- link pipeline ------------------------------------------------
-        allowed = cfg.allowed_domains
-        extra_filter = cfg.extra_link_filter
-        if inline:
-            links_tbl = _explode_links(
-                accepted_tbl.select(["seq", "url_norm", "links"]), allowed,
-                rank_map, extra_filter)
-            if links_tbl.num_rows > 0:
-                if cfg.use_robots:
-                    links_tbl = _robots_filter_table(links_tbl,
-                                                     self.store.robots)
-                gate_res = self._host_gate_inline(links_tbl.to_pandas())
-            else:
-                gate_res = _empty_gate_frame()
+        # ---- host gate: the accepted pages' link candidates ---------------
+        # (explode + robots already ran in the fetch map, under
+        # fetch_validate).  No batch-local dedup may run before the
+        # accepted-page filter: occurrence counts and first occurrences
+        # would count content-rejected parents.
+        if driver_links:
+            if acc_cands is None:
+                # the resolve ran distributed: pull only accepted pages
+                refs = validated.select_columns(["seq", "cands"]).map_batches(
+                    keep_accepted, batch_format="pyarrow").to_arrow_refs()
+                acc_cands = pa.concat_tables(ray.get(refs)) if refs else None
+            links = (_flatten_candidates(acc_cands, rank_map)
+                     if acc_cands is not None else _empty_gate_frame())
+            gate_res = (self._host_gate_inline(links) if len(links)
+                        else _empty_gate_frame())
         else:
-            robots_ref = self.robots_ref if cfg.use_robots else None
             rank_ref = ray.put(rank_map)
-
-            def explode_and_robots(b: pa.Table) -> pa.Table:
-                out = _explode_links(b, allowed, _get_broadcast(rank_ref),
-                                     extra_filter)
-                if out.num_rows == 0 or robots_ref is None:
-                    return out
-                return _robots_filter_table(out, _get_broadcast(robots_ref))
-
             gate_hosts = self.gate_hosts
             nshards = cfg.num_gate_shards
+
+            def accepted_candidates(b: pa.Table) -> pd.DataFrame:
+                return _dedup_candidates(_flatten_candidates(
+                    keep_accepted(b), _get_broadcast(rank_ref)))
 
             def host_gate(g: pd.DataFrame) -> pd.DataFrame:
                 # the gate RPC carries only unique candidates, in discovery
@@ -1130,40 +1241,27 @@ class CrawlEngine:
                 g["decision"] = out
                 return g
 
-            # single chained execution:
-            # explode → robots → batch-local dedup → groupby → gate
-            chain = (
-                accepted_ds
-                .map_batches(explode_and_robots, batch_format="pyarrow")
-                .map_batches(_dedup_candidates, batch_format="pandas")
+            # GIANT wave: accepted → flatten → batch-local dedup → groupby
+            # → gate, materialized: the gate RPCs mutate actor state and
+            # must run EXACTLY once; the blocks stay distributed in the
+            # object store, never on the driver
+            gated = (
+                validated.select_columns(["seq", "cands"])
+                .map_batches(accepted_candidates, batch_format="pyarrow")
                 .groupby("host")
                 .map_groups(host_gate, batch_format="pandas")
+                .materialize()
             )
-            if len(wave_df) * cfg.max_links_per_page <= cfg.driver_link_threshold:
-                # wave small enough that even max-fanout candidates are
-                # driver-trivial: collect once (executes the gate RPCs),
-                # skip the distributed-append machinery entirely
-                # (cfg.max_links_per_page bounds per-page fan-out — a
-                # corpus with higher fan-out must raise the knob or the
-                # gate frame can exceed driver_link_threshold)
-                gate_res = chain.to_pandas()
+            gate_res = None
+            totals = _gate_totals_distributed(gated)
+            # few accepts → driver seq assignment is still cheaper
+            # than the distributed append's extra all-to-all stages
+            # (frame provably bounded by the thresholds)
+            if totals["accept"] <= cfg.driver_link_threshold \
+                    and totals["cand"] <= 4 * cfg.driver_link_threshold:
+                gate_res = gated.to_pandas()
                 if gate_res.empty:
                     gate_res = _empty_gate_frame()
-            else:
-                # materialize: the gate RPCs mutate actor state and must
-                # run EXACTLY once; the blocks stay distributed in the
-                # object store, never on the driver
-                gated = chain.materialize()
-                gate_res = None
-                totals = _gate_totals_distributed(gated)
-                # few accepts → driver seq assignment is still cheaper
-                # than the distributed append's extra all-to-all stages
-                # (frame provably bounded by the thresholds)
-                if totals["accept"] <= cfg.driver_link_threshold \
-                        and totals["cand"] <= 4 * cfg.driver_link_threshold:
-                    gate_res = gated.to_pandas()
-                    if gate_res.empty:
-                        gate_res = _empty_gate_frame()
         if gate_res is not None:
             totals = _gate_totals(gate_res)
         link_dec = _link_decision_counts(totals)
@@ -1215,10 +1313,14 @@ class CrawlEngine:
             "fetched": int(len(fp_seqs)),
             "pages_per_sec": round(len(fp_seqs) / wall, 2) if wall > 0 else None,
             "wall_sec": round(wall, 3),
+            # fetch_validate includes the link explode + robots filter (in
+            # the fetch map); links_gate is the pages sink, the candidate
+            # flatten and the host gate
             "stage_sec": {"fetch_validate": round(t_fetch, 3),
                           "content_gate": round(t_gate, 3),
                           "links_gate": round(t_links, 3)},
             "inline": inline,
+            **routes,
             "page_decisions": dict(page_dec),
             "link_candidates": n_cand,
             "link_decisions": dict(link_dec),

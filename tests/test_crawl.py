@@ -322,6 +322,91 @@ def test_engine_matches_oracle_distributed_append(ray_session, store, tmp_path):
         _assert_match(res, crawl_oracle(store, config))
 
 
+def _outlinks(store, config, url) -> set[str]:
+    from searchengine_ray.utils.urls import (is_valid, join_url, normalize,
+                                             urldefrag_str)
+
+    resolved = (normalize(urldefrag_str(join_url(url, raw)))
+                for raw in store.pages[url]["links"])
+    return {u for u in resolved if is_valid(u, config.allowed_domains)}
+
+
+def test_link_routes_agree(ray_session, store):
+    """Distributed waves gate their accepted pages' link candidates from the
+    driver (the default) or, forced by driver_link_threshold=0, in the
+    groupby(host) shuffle: identical crawl order, seen set and per-wave
+    link counts.  The store has URLs whose only discovering parents are
+    content-rejected, so both routes must drop rejected pages' candidates
+    before any candidate dedup."""
+    base = _config(store, inline_wave_threshold=0)
+    oracle = crawl_oracle(store, base)
+    by_decision = {"accept": set(), "rejected": set()}
+    for e in oracle.crawl_order:
+        if e["decision"] in ("accept", "text_dup", "image_dup"):
+            key = "accept" if e["decision"] == "accept" else "rejected"
+            by_decision[key] |= _outlinks(store, base, e["url"])
+    assert by_decision["rejected"] - by_decision["accept"]
+
+    results = {}
+    for route, kw in (("driver", {}), ("distributed", {"driver_link_threshold": 0})):
+        res = _run_engine(store, _config(store, inline_wave_threshold=0, **kw))
+        _assert_match(res, oracle)
+        assert {m["link_route"]["route"] for m in res.metrics} == {route}
+        results[route] = res
+    drv, dist = results["driver"], results["distributed"]
+    pd.testing.assert_frame_equal(drv.crawl_order, dist.crawl_order)
+    assert drv.url_seen == dist.url_seen
+    for key in ("link_candidates", "link_decisions"):
+        assert [m[key] for m in drv.metrics] == [m[key] for m in dist.metrics]
+
+
+@pytest.mark.parametrize("extra_filter", [None, _no_blog], ids=["unset", "set"])
+def test_explode_links_matches_memo_free_loop(extra_filter):
+    """_explode_links resolves each distinct absolute link once per batch;
+    its rows must equal a per-occurrence resolve of every link."""
+    import pyarrow as pa
+
+    from searchengine_ray.pipelines.crawl import _explode_links
+    from searchengine_ray.utils.urls import (get_urlhash, is_valid, join_url,
+                                             normalize, urldefrag_str)
+
+    raws = [
+        "c", "../up", "./here", "../../x/./y/..", "sub/", "?q=1", "#top", "",
+        "blog/rel", "http:rel", "https:rel/x", "http:../dot",
+        "//host1.test/p", "//host1.test/a/../b/",
+        "http://host0.test/a/#frag", "http://host0.test/dir/",
+        "http://HOST0.Test/Path/", "HTTP://host0.test/Up", "http://host0.test/q?",
+        "http://host0.test/p;", "http://host0.test/a/../b/./c",
+        "http://host2.test/./q/../r/", "https://host2.test/x/../y",
+        "https://host1.test/blog/post", "?u=http://host0.test/a",
+        "http:///nohost", "mailto:x@host0.test", "ftp://host0.test/f",
+        "http://off.example/x", "http://host0.test/doc.pdf",
+    ]
+    pages = ["http://host0.test/a/b/page", "https://host0.test/a/b/page",
+             "http://host1.test/dir/", "https://host1.test", "http://host2.test/x/y/z",
+             "https://host2.test/blog/"]
+    links = [raws[i:] + raws[:i] + raws[::3] for i in range(len(pages))] + [[]]
+    pages.append("http://host0.test/empty")
+    allowed = ("test",)
+
+    want = []
+    for row, (page, lst) in enumerate(zip(pages, links)):
+        for idx, raw in enumerate(lst):
+            u = normalize(urldefrag_str(join_url(page, raw)))
+            if is_valid(u, allowed) and (extra_filter is None or extra_filter(u)):
+                want.append((row, idx, u, get_urlhash(u), u.split("/")[2]))
+    got = _explode_links(pa.table({"url_norm": pages, "links": links}),
+                         allowed, extra_filter)
+    cols = ["row", "link_idx", "url_norm", "url_hash", "host"]
+    assert list(zip(*(got[c].to_pylist() for c in cols))) == want
+    # the corpus exercises dot segments kept in absolute links, and links
+    # that resolve differently from http and https pages
+    assert any("/../" in u or "/./" in u for _, _, u, _, _ in want)
+    by_scheme = {(pages[r].split(":")[0], links[r][i]): u for r, i, u, _, _ in want}
+    assert any(u != by_scheme.get(("https", raw)) for (sch, raw), u in by_scheme.items()
+               if sch == "http" and "://" in raw)
+
+
 def test_engine_matches_oracle_spill_pool(ray_session, store, tmp_path):
     """The host-hash-partitioned parquet frontier pool must reproduce the
     oracle exactly (slice semantics identical to the in-memory pool)."""

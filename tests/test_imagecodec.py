@@ -41,6 +41,76 @@ def test_png_noise_roundtrip():
     np.testing.assert_array_equal(img, decode_png(encode_png(img)))
 
 
+def _png_filtered(pixels: np.ndarray, filters: list[int]) -> bytes:
+    """Test-side PNG encoder applying scanline filter ``filters[y]`` to row
+    y, per the PNG spec (ISO/IEC 15948 §9.2): each filtered byte is the
+    original minus a predictor from a = left (bpp back), b = up, c = up-left,
+    modulo 256."""
+    import struct
+    import zlib
+
+    h, w, _ = pixels.shape
+    bpp, orig = 3, pixels.reshape(h, w * 3).astype(np.int32)
+    out = bytearray()
+    for y in range(h):
+        ft = filters[y]
+        out.append(ft)
+        for x in range(w * 3):
+            a = orig[y, x - bpp] if x >= bpp else 0
+            b = orig[y - 1, x] if y > 0 else 0
+            c = orig[y - 1, x - bpp] if (y > 0 and x >= bpp) else 0
+            if ft == 0:
+                pred = 0
+            elif ft == 1:
+                pred = a
+            elif ft == 2:
+                pred = b
+            elif ft == 3:
+                pred = (a + b) // 2
+            else:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                pred = a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+            out.append((orig[y, x] - pred) % 256)
+
+    def chunk(tag, payload):
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
+
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(bytes(out))) + chunk(b"IEND", b""))
+
+
+@pytest.mark.parametrize("filters", [[1], [2], [3], [4], [0, 1, 2, 3, 4],
+                                     [4, 0, 0, 3, 0, 2]],
+                         ids=["sub", "up", "average", "paeth", "mixed",
+                              "mostly-none"])
+@pytest.mark.parametrize("levels", [256, 5], ids=["noise", "few-levels"])
+def test_png_decodes_every_filter_type(filters, levels):
+    """PNGs from other encoders use filter types 1-4 (the decoder's
+    per-row path).  Few-level images make predictor ties (Paeth) common."""
+    rng = np.random.RandomState(len(filters))
+    img = (rng.randint(0, levels, size=(12, 10, 3)) * (255 // (levels - 1))
+           ).astype(np.uint8)
+    rows = (filters * img.shape[0])[:img.shape[0]]
+    assert any(rows)
+    data = _png_filtered(img, rows)
+    np.testing.assert_array_equal(decode_png(data), img)
+    np.testing.assert_array_equal(decode(data, "png"), img)
+
+
+def test_png_unfiltered_fast_path_output():
+    """All-type-0 scanlines: the fast path returns a writable, C-contiguous
+    uint8 image equal to the input, as the per-row path did."""
+    img = np.random.RandomState(4).randint(0, 256, size=(6, 5, 3), dtype=np.uint8)
+    for data in (encode_png(img), _png_filtered(img, [0] * 6)):
+        out = decode_png(data)
+        np.testing.assert_array_equal(out, img)
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        assert out.flags.writeable
+
+
 def test_fake_jpeg_lossy_psnr_ge_40():
     img = _img(2)
     data = encode(img, "jpeg")
