@@ -372,7 +372,6 @@ def bench_crawl_scale() -> tuple[float, float]:
         num_gate_shards=8,
         fetch_concurrency=max(4, NUM_CPUS // 2),
         fetch_batch_size=128,
-        speculative_fetch=bool(int(os.environ.get("GRAFT_SPECULATIVE", "0"))),
     )
     eng = CrawlEngine(store, config)
     t0 = time.perf_counter()

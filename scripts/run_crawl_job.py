@@ -28,7 +28,8 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--checkpoint-dir", default=None,
                     help="enable per-wave incremental checkpoints (required "
-                         "for --resume / --flat-rss)")
+                         "for --resume); the crawl order then lives only "
+                         "on disk, not in driver memory")
     ap.add_argument("--resume", action="store_true")
     ap.add_argument("--pages", type=int, default=2000)
     ap.add_argument("--procedural", action="store_true",
@@ -41,9 +42,6 @@ def main() -> None:
     ap.add_argument("--frontier-spill-dir", default=None,
                     help="host-hash-partitioned parquet frontier pool dir")
     ap.add_argument("--frontier-partitions", type=int, default=16)
-    ap.add_argument("--flat-rss", action="store_true",
-                    help="do not hold crawl_order in driver memory (needs "
-                         "--checkpoint-dir); result is read back from disk")
     ap.add_argument("--probe-shards", type=int, default=None,
                     help="shard the content-store probe across N actors "
                          "(O(corpus/N) each) instead of the per-worker "
@@ -51,12 +49,9 @@ def main() -> None:
     ap.add_argument("--driver-fp-threshold", type=int, default=None,
                     help="wave size above which the content resolve runs "
                          "fully distributed (default: config default)")
-    ap.add_argument("--speculative", action="store_true",
-                    help="wave pipelining: overlap the predicted next "
-                         "wave's fetch+validate with this wave's gates")
     args = ap.parse_args()
-    if (args.resume or args.flat_rss) and not args.checkpoint_dir:
-        ap.error("--resume/--flat-rss need --checkpoint-dir")
+    if args.resume and not args.checkpoint_dir:
+        ap.error("--resume needs --checkpoint-dir")
 
     import ray
 
@@ -87,9 +82,7 @@ def main() -> None:
         checkpoint_dir=args.checkpoint_dir,
         frontier_spill_dir=args.frontier_spill_dir,
         frontier_partitions=args.frontier_partitions,
-        hold_order_in_memory=not args.flat_rss,
         content_probe_shards=args.probe_shards,
-        speculative_fetch=args.speculative,
     )
     if args.driver_fp_threshold is not None:
         config.driver_fp_threshold = args.driver_fp_threshold

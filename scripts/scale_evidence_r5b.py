@@ -11,7 +11,7 @@ processes, each owning its own Ray session; prints ONE JSON line):
 
 - child "run A":   uninterrupted 150k-page procedural crawl, all scale
   features on (spill frontier, probe tier, speculative fetch,
-  distributed resolve, flat-rss checkpointed order); writes an
+  distributed resolve, checkpointed order on disk); writes an
   order-sensitive blake2b checksum of the full crawl_order log
   (seq, url_norm, wave, status, decision) + the url_seen count.
 - child "run B":   identical config, fresh dirs — SIGKILLed (whole
@@ -46,9 +46,7 @@ def _config(store, base: str):
         seed_urls=list(store.seeds), allowed_domains=("test",),
         checkpoint_dir=os.path.join(base, "ckpt"),
         frontier_spill_dir=os.path.join(base, "spill"),
-        hold_order_in_memory=False,
         content_probe_shards=8,
-        speculative_fetch=True,
     )
     cfg.driver_fp_threshold = 50_000
     return cfg

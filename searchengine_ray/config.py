@@ -66,22 +66,24 @@ class CrawlConfig:
     # fingerprints on the driver.  ~3 extra all-to-alls per wave — pure
     # overhead below the threshold, the only shape that works above it.
     driver_fp_threshold: int = 100_000
-    # wave pipelining: speculatively fetch+validate the PREDICTED next wave
-    # (the frontier backlog's next slice — exact in budget-bound steady
-    # state, a subset during frontier expansion) while the current wave's
-    # gate/link/frontier stages run.  Fetch is pure (decode/phash/shingle;
-    # no store probe, no gate state), so decisions are identical; results
-    # are keyed by seq and consumed by whichever wave the seq lands in.
-    # Auto-disabled when politeness_delay > 0 (speculation would break the
-    # per-host pacing clock).
-    speculative_fetch: bool = False
+    # politeness_delay == 0 also turns on wave pipelining: the PREDICTED
+    # next wave (the frontier backlog's next slice) is fetched+validated
+    # speculatively while the current wave's later stages run.  Fetch is
+    # pure (no store probe, no gate state), so decisions are identical.
+    # Under politeness the fetch runs in a pacing actor pool instead
+    # (fetch_concurrency actors, per-host clocks) and nothing speculates.
     fetch_concurrency: int = 8
     fetch_batch_size: int = 256
+    # per-wave checkpoints (crawl_order, frontier, state deltas, metrics,
+    # manifest).  With one, the crawl order lives only on disk — the
+    # driver heap stays flat across waves; without, it is held in memory.
     checkpoint_dir: str | None = None
-    # link-candidate volume that picks the host-gate route.  A wave with
-    # wave_pages × max_links_per_page ≤ this (and every inline wave) pulls
-    # its accepted pages' link candidates to the driver and gates them with
-    # one RPC per gate host — no Ray Data job, no shuffle.  Above it, the
+    # link-candidate volume that picks the host-gate route.  A wave whose
+    # content resolve ran on the driver and with wave_pages ×
+    # max_links_per_page ≤ this (and every inline wave) gates its accepted
+    # pages' link candidates from the driver with one RPC per gate host —
+    # no Ray Data job, no shuffle.  Above it (or after a distributed
+    # resolve, so driver_fp_threshold=0 forces it too), the
     # candidates are gated in a groupby(host) shuffle, and frontier(w+1)
     # seq assignment + pool append run DISTRIBUTED (per-parent prefix-sum
     # rank + streamed add) once the accepted links exceed it too: ~3 extra
@@ -100,9 +102,6 @@ class CrawlConfig:
     # shape — the driver holds one partition at a time, never the pool)
     frontier_spill_dir: str | None = None
     frontier_partitions: int = 16
-    # False + checkpoint_dir: per-wave crawl_order lands only on disk and
-    # result() reads it back — driver heap stays flat across waves
-    hold_order_in_memory: bool = True
     # CPU reservation per STATE actor: the gate hosts (one per 4 cluster
     # CPUs, each serving several logical gate shards) and the probe tier if
     # any.  None = the class defaults (0.5 / 0.25, so a multi-node
@@ -123,10 +122,9 @@ class CrawlConfig:
         for k in ("num_gate_shards", "fetch_concurrency", "fetch_batch_size",
                   "checkpoint_dir", "max_waves", "politeness_delay",
                   "inline_wave_threshold", "frontier_spill_dir",
-                  "frontier_partitions", "hold_order_in_memory",
-                  "driver_link_threshold", "max_links_per_page",
-                  "content_probe_shards", "driver_fp_threshold",
-                  "speculative_fetch", "state_actor_num_cpus"):
+                  "frontier_partitions", "driver_link_threshold",
+                  "max_links_per_page", "content_probe_shards",
+                  "driver_fp_threshold", "state_actor_num_cpus"):
             d.pop(k)
         # callables aren't hashable: record presence only (see field docs)
         d["priority_fn"] = self.priority_fn is not None

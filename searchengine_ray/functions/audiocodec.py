@@ -9,9 +9,8 @@ extra chunks decode too.
 
 Scope: PCM16 (format tag 1, bits 16), mono or interleaved multi-channel.
 That is the shape a large-scale audio ingest normalizes to before
-feature extraction; compressed codecs (mp3/opus) stay behind the
-``stages/images.DecodeAudio`` stub seam until a real decoder ships in the
-environment.
+feature extraction; compressed codecs (mp3/opus) are out of scope until
+a decoder ships in the environment.
 
 Reference analog: the reference engine has no audio path at all — this is
 part of the multimodal extension tier (VERDICT round-1 brief: audio as an

@@ -10,9 +10,8 @@ the same idea over this repo's real PNG codec (`functions/imagecodec`):
 Everything little-endian.  Frames are self-contained PNGs, so a demuxed
 frame decodes with any standard PNG tool; the container itself carries
 the typed metadata a video ingest keys on (dimensions, frame count,
-fps).  Compressed inter-frame codecs (h264...) stay behind the
-``stages/images.SampleVideoFrames`` stub seam until a real decoder ships
-in the environment.
+fps).  Compressed inter-frame codecs (h264...) are out of scope until a
+decoder ships in the environment.
 """
 
 from __future__ import annotations

@@ -1,24 +1,36 @@
 """The Ray-Data-native crawl engine: iterative waves of frontier expansion.
 
-Each wave is a bounded Ray Data pipeline (SURVEY.md §3.3):
+Each wave is a bounded pipeline of named stages (``CrawlEngine.run_wave``;
+SURVEY.md §3.3), every one timed into the wave metric's ``spans``:
 
-    frontier slice (budgeted per host)
-      → fetch          map_batches(Fetcher actor pool)   [politeness pacing]
-      → validate       map_batches: decode image, enforce per-row invariants,
-                       caption shingles + phash fingerprints
-      → link cands     same map: every live page's links are exploded
-                       (resolve/defrag/is_valid/canonicalize) and robots-
-                       filtered into a per-page ``cands`` column
-      → content gate   store probe (parallel, read-only) + sequential
-                       resolve in processing order — exact reference
-                       semantics (stages/content_probe.resolve_wave)
-      → pages sink     accepted payload rows → wave-partitioned table
-      → host gate      the ACCEPTED pages' cands → logical gate shards, many
-                       per gate-host actor (exact URL dedup + trap
-                       similarity, in discovery order): one RPC per gate
-                       host from the driver, or — giant waves only —
-                       groupby(host).map_groups
-      → frontier(w+1)  accepted candidates, FIFO seq assigned
+    slice           frontier slice, budgeted per host
+      → fetch_validate  fetch + validate + link cands in one map: decode
+                    image, enforce per-row invariants, caption shingles +
+                    phash fingerprints; every live page's links exploded
+                    (resolve/defrag/is_valid/canonicalize) and robots-
+                    filtered into a per-page ``cands`` column.  Small waves
+                    run it on the driver; others in stateless Ray Data
+                    tasks, or a pacing ``Fetcher`` actor pool when
+                    ``politeness_delay`` > 0
+      → resolve     content gate: store probe (parallel, read-only) +
+                    sequential resolve in processing order — exact
+                    reference semantics (stages/content_probe.resolve_wave)
+      → order       the wave's crawl-order rows
+      → sink        accepted payload rows → wave-partitioned table
+      → links       host gate over the ACCEPTED pages' cands → logical gate
+                    shards, many per gate-host actor (exact URL dedup +
+                    trap similarity, in discovery order): one RPC per gate
+                    host from the driver, or — giant waves only —
+                    groupby(host).map_groups
+      → append      frontier(w+1): accepted candidates, FIFO seq assigned
+      → metric, checkpoint
+
+Wave pipelining: without politeness pacing, the slice also peeks the NEXT
+wave's predicted slice, whose fetch+validate runs speculatively in
+background tasks while this wave's later stages occupy the driver.  Fetch
+is pure (no store probe, no gate state), so decisions are identical; rows
+are keyed by seq and taken by whichever wave the seq lands in.  Under
+politeness nothing speculates (the pacing clocks are per actor).
 
 Determinism/ordering contract: the engine reproduces the single-threaded
 reference FIFO exactly — ``crawl_order`` sorted by (wave, seq) equals the
@@ -59,14 +71,18 @@ Scale notes (10^10-URL frontier):
 from __future__ import annotations
 
 import os
-import shutil
+import sys
 import time
 import zlib
+from contextlib import contextmanager
 from hashlib import sha256
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -375,8 +391,6 @@ def _link_candidates(batch: pa.Table, allowed_domains, extra_filter,
     list<struct<link_idx, url_norm, url_hash, host>> aligned to the rows.
     Page-local work, so it runs in the fetch map for every page; the
     content decision later picks whose cands reach the host gate."""
-    import pyarrow.compute as pc
-
     live = pc.and_(pc.equal(batch["status"], 200), batch["integrity_ok"])
     rows = np.flatnonzero(live.to_numpy(zero_copy_only=False))
     flat = _explode_links(batch.select(["url_norm", "links"]).take(rows),
@@ -406,8 +420,6 @@ def _flatten_candidates(acc: pa.Table, rank_map: dict[int, int]) -> pd.DataFrame
     """Accepted pages' (seq, cands) → one candidate row per link, keyed by
     its parent's processing rank (``rank_map``: page seq → rank in this
     wave = seq order under FIFO, priority order under a priority_fn)."""
-    import pyarrow.compute as pc
-
     cands = acc["cands"].combine_chunks()
     parent = pc.list_parent_indices(cands).to_numpy()
     seqs = acc["seq"].to_numpy()
@@ -535,6 +547,57 @@ def _route_record(driver: bool, size: int, knob: str, threshold: int) -> dict:
     and the config knob (name, value) it was compared against."""
     return {"route": "driver" if driver else "distributed", "size": int(size),
             "knob": knob, "threshold": threshold}
+
+
+class _WavePlan(NamedTuple):
+    """A wave's routes, picked once from its size (``_plan_wave``)."""
+    inline: bool  # fetch, probe and gates on the driver
+    driver_resolve: bool  # resolve_wave on the driver, else distributed
+    driver_links: bool  # host gate from the driver, else groupby(host)
+    routes: dict  # the metric's resolve_route / link_route records
+
+
+def _lap(spans: dict, stage: str, t: float) -> float:
+    """Record ``stage``'s span (seconds since ``t``); returns now."""
+    now = time.monotonic()
+    spans[stage] = round(now - t, 4)
+    return now
+
+
+def _keep_seqs(seqs):
+    """Batch filter keeping the rows whose ``seq`` is in ``seqs``.  The seq
+    array is broadcast once, so the filter ships to Ray Data tasks as is."""
+    ref = ray.put(pa.array(sorted(int(s) for s in seqs), pa.int64()))
+
+    def keep(b: pa.Table) -> pa.Table:
+        return b.filter(pc.is_in(b["seq"], value_set=ray.get(ref)))
+
+    return keep
+
+
+@contextmanager
+def _by_value(*fns):
+    """Pickle the user callables ``fns`` (priority_fn, extra_link_filter)
+    by value inside the block: tasks that run them must not need to import
+    their module (e.g. a test module)."""
+    from ray import cloudpickle
+
+    mods = {sys.modules.get(getattr(fn, "__module__", None) or "")
+            for fn in fns if fn is not None}
+    mods = [m for m in mods
+            if m is not None and m.__name__ not in ("__main__", "builtins")]
+    for m in mods:
+        cloudpickle.register_pickle_by_value(m)
+    try:
+        yield
+    finally:
+        for m in mods:
+            cloudpickle.unregister_pickle_by_value(m)
+
+
+# the payload columns of the pages sink
+_PAGE_COLS = ["image_id", "bytes", "w", "h", "fmt", "caption", "phash",
+              "url_norm", "wave", "seq"]
 
 
 class CrawlResult:
@@ -712,10 +775,14 @@ class CrawlEngine:
                 config.frontier_spill_dir, config.frontier_partitions)
         else:
             self.pool = InMemoryFrontierPool()
+        # the crawl order when there is no checkpoint (_order_record)
         self.crawl_order_frames: list[pd.DataFrame] = []
         self.metrics: list[dict] = []
-        # wave pipelining: outstanding speculative fetch results
-        # [(table ref, seqs it covers)] + the covered-seq set
+        # wave pipelining whenever politeness allows (pacing clocks are
+        # per-actor; speculative fetches would bypass them): outstanding
+        # speculative fetch results [(table ref, seqs it covers)] + the
+        # covered-seq set
+        self._speculate = config.politeness_delay == 0
         self._spec: list[tuple] = []
         self._spec_seqs: set[int] = set()
         self._spec_predicted: pd.DataFrame | None = None
@@ -770,6 +837,8 @@ class CrawlEngine:
         """Append this wave's accepted fingerprints as a new store delta.
         Replica mode: extend the broadcast delta chain.  Tier mode: route
         the delta's rows to their probe shards."""
+        self._last_delta_tbl = None  # this wave's checkpoint delta
+        self._last_delta_ds = None
         if not gate_out:
             return
         mask = pa.array([d == "accept" for d in gate_out], pa.bool_())
@@ -777,7 +846,6 @@ class CrawlEngine:
         if accepted.num_rows == 0:
             return
         self._last_delta_tbl = accepted
-        self._last_delta_ds = None
         if self.probe_tier is not None:
             self._pending_admit = self._route_to_tier(accepted)
         else:
@@ -827,35 +895,7 @@ class CrawlEngine:
 
         return probe
 
-    # ------------------------------------------------- inline (small-wave) --
-    def _fetch_validate_inline(self, wave_df: pd.DataFrame) -> pa.Table:
-        """Driver-side fetch+validate for small waves — same kernels as the
-        distributed path (Fetcher.__call__ + _validate_batch +
-        _link_candidates, robots from the store itself); speculative
-        results for these seqs are consumed instead of refetched."""
-        import pyarrow.compute as pc
-
-        refs, covered = self._spec_hits(wave_df)
-        parts = []
-        if refs:
-            arr = pa.array(sorted(covered), pa.int64())
-            for t in ray.get(refs):
-                ft = t.filter(pc.is_in(t["seq"], value_set=arr))
-                if ft.num_rows:
-                    parts.append(ft)
-        rest = wave_df[~wave_df["seq"].isin(covered)] if covered else wave_df
-        if len(rest) or not parts:
-            if not hasattr(self, "_inline_fetcher"):
-                self._inline_fetcher = Fetcher(self.store_ref,
-                                               self.config.politeness_delay)
-            cfg = self.config
-            batch = pa.Table.from_pandas(rest, preserve_index=False)
-            parts.append(_link_candidates(
-                _validate_batch(self._inline_fetcher(batch), cfg.ngram_size),
-                cfg.allowed_domains, cfg.extra_link_filter,
-                self.store.robots if cfg.use_robots else None))
-        return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-
+    # ------------------------------------------------------- gate RPCs --
     def _gate_rpc(self, method: str, batches: list) -> list:
         """Run ``batches`` [(logical shard, payload)] through gate-host
         ``method`` — ONE RPC per gate host, the hosts in parallel, each
@@ -898,6 +938,69 @@ class CrawlEngine:
                 if out_frames else _empty_gate_frame())
 
     # ------------------------------------------------------------------ waves
+    def run_wave(self) -> bool:
+        """Run one wave; returns False when the crawl is finished.  The
+        stages run in order, each timed into the wave metric's ``spans``:
+        slice → fetch_validate → resolve → order → sink → links → append
+        → metric → checkpoint (the checkpoint span is in the in-memory
+        record only: the metrics file is written inside it)."""
+        cfg = self.config
+        if len(self.pool) == 0 or (cfg.max_waves is not None
+                                   and self.wave >= cfg.max_waves):
+            return False
+        t = time.monotonic()
+        wave_df = self._wave_slice()
+        if len(wave_df) == 0:
+            return False
+        spans: dict[str, float] = {}
+        t0 = t = _lap(spans, "slice", t)
+        # processing rank of each page in this wave (row order of the slice);
+        # all order-dependent gates run in THIS order — identical to seq
+        # order under FIFO, priority order under a priority_fn
+        rank_map = {int(s): i for i, s in enumerate(wave_df["seq"])}
+        plan = self._plan_wave(len(wave_df))
+        if self._speculate:
+            # fired FIRST: the predicted next wave's fetches overlap this
+            # wave's whole pipeline
+            self._launch_speculation()
+        validated, n_spec = (self._fetch_validate_inline if plan.inline
+                             else self._fetch_validate_distributed)(wave_df)
+        t = _lap(spans, "fetch_validate", t)
+
+        if plan.driver_resolve:
+            decision, fp_seqs, fp_status, acc_cands = self._resolve_wave_driver(
+                validated, rank_map, plan)
+        else:
+            decision, fp_seqs, fp_status = self._resolve_wave_distributed(
+                validated, rank_map)
+            acc_cands = None
+        for s in fp_seqs:
+            decision.setdefault(s, "error")
+        self.pages_fetched += len(fp_seqs)
+        t = _lap(spans, "resolve", t)
+        order_df = self._order_record(wave_df, decision, fp_seqs, fp_status)
+        t = _lap(spans, "order", t)
+
+        keep_accepted = _keep_seqs(s for s, d in decision.items() if d == "accept")
+        self._sink_pages(validated, keep_accepted, plan)
+        t = _lap(spans, "sink", t)
+        gate_res, gated, totals = self._gate_links(
+            validated, acc_cands, keep_accepted, rank_map, plan)
+        t = _lap(spans, "links", t)
+        self._append_frontier(gate_res, gated)
+        t = _lap(spans, "append", t)
+
+        metric = self._wave_metric(order_df, len(fp_seqs), t - t0, spans, plan,
+                                   totals, n_spec)
+        self.metrics.append(metric)
+        t = _lap(spans, "metric", t)
+        if cfg.checkpoint_dir:
+            self._checkpoint(order_df, metric)
+            _lap(spans, "checkpoint", t)
+        self._spec_prune(wave_df)
+        self.wave += 1
+        return True
+
     def _wave_slice(self) -> pd.DataFrame:
         """Priority-queue slice: (priority DESC, discovery seq) per host —
         pure FIFO when no priority_fn is set (all priorities 0.0).  The
@@ -906,19 +1009,118 @@ class CrawlEngine:
         the in-memory and the partitioned spill pool."""
         cap = (max(0, self.config.max_pages - self.pages_fetched)
                if self.config.max_pages is not None else None)
-        if self._spec_on():
-            take, peek = self.pool.slice_wave(
+        if self._speculate:
+            take, self._spec_predicted = self.pool.slice_wave(
                 self.config.per_host_wave_budget, cap, peek_next=True)
-            self._spec_predicted = peek
             return take
         return self.pool.slice_wave(self.config.per_host_wave_budget, cap)
 
-    # --------------------------------------------------- wave pipelining --
-    def _spec_on(self) -> bool:
-        # pacing clocks are per-actor; speculative fetches would bypass them
-        return (self.config.speculative_fetch
-                and self.config.politeness_delay == 0)
+    def _plan_wave(self, n_pages: int) -> _WavePlan:
+        """The wave's routes, picked once from its size: waves of at most
+        ``inline_wave_threshold`` pages run inline on the driver (same
+        kernels, ~10× lower per-wave overhead); the content resolve runs on
+        the driver up to ``driver_fp_threshold`` pages; the links are gated
+        from the driver when the resolve ran there and the candidate bound
+        (pages × ``max_links_per_page``) is within
+        ``driver_link_threshold``."""
+        cfg = self.config
+        n_cand_bound = n_pages * cfg.max_links_per_page
+        if n_pages <= cfg.inline_wave_threshold:
+            rec = _route_record(True, n_pages, "inline_wave_threshold",
+                                cfg.inline_wave_threshold)
+            return _WavePlan(True, True, True,
+                             {"resolve_route": rec, "link_route": dict(rec)})
+        driver_resolve = n_pages <= cfg.driver_fp_threshold
+        driver_links = (driver_resolve
+                        and n_cand_bound <= cfg.driver_link_threshold)
+        resolve = _route_record(driver_resolve, n_pages, "driver_fp_threshold",
+                                cfg.driver_fp_threshold)
+        link = (_route_record(driver_links, n_cand_bound,
+                              "driver_link_threshold", cfg.driver_link_threshold)
+                if driver_resolve else dict(resolve))
+        return _WavePlan(False, driver_resolve, driver_links,
+                         {"resolve_route": resolve, "link_route": link})
 
+    # ------------------------------------------------------ fetch_validate --
+    def _fetch_validate_inline(self, wave_df: pd.DataFrame):
+        """Driver-side fetch+validate for small waves — the distributed
+        path's kernels (Fetcher.__call__ + _validate_batch +
+        _link_candidates, robots from the store itself).  Returns (table,
+        rows speculation served)."""
+        rest, refs, keep, n_spec = self._take_speculated(wave_df)
+        parts = [keep(t) for t in ray.get(refs)]
+        if len(rest) or not parts:
+            if not hasattr(self, "_inline_fetcher"):
+                self._inline_fetcher = Fetcher(self.store_ref,
+                                               self.config.politeness_delay)
+            cfg = self.config
+            batch = pa.Table.from_pandas(rest, preserve_index=False)
+            parts.append(_link_candidates(
+                _validate_batch(self._inline_fetcher(batch), cfg.ngram_size),
+                cfg.allowed_domains, cfg.extra_link_filter,
+                self.store.robots if cfg.use_robots else None))
+        return pa.concat_tables(parts), n_spec
+
+    def _fetch_validate_distributed(self, wave_df: pd.DataFrame):
+        """Fetch + validate + link candidates in Ray Data tasks, then the
+        store probe's flags.  Returns (materialized dataset, rows
+        speculation served)."""
+        cfg = self.config
+        probe = self._store_probe()
+        ngram_size, store_ref, link_spec = (cfg.ngram_size, self.store_ref,
+                                            self._link_spec)
+        rest, refs, keep, n_spec = self._take_speculated(wave_df)
+        parts = []
+        if len(rest):
+            # from_pandas yields ONE block and map parallelism is per-block
+            # — split the wave so every core gets tasks: ≥8 rows per block
+            # (each page's links explode in its fetch task), capped at
+            # 4×CPUs.  NOTE: driver-side pre-splitting via rd.from_blocks
+            # was tried (kills this repartition exchange, ~15-20% on the
+            # many-wave shape) and REVERTED: it flaky-deadlocks the
+            # streaming executor inside this materialize on small (4-CPU)
+            # sessions — hung 3 of 6 suite runs at
+            # test_engine_matches_oracle_distributed_append, always in
+            # get_output_blocking, while this construction has survived
+            # every suite since round 1.
+            ncpu = int(ray.cluster_resources().get("CPU", 8))
+            nblocks = max(1, min(len(rest) // 8 + 1, 4 * ncpu))
+            wave_ds = rd.from_pandas(rest).repartition(nblocks)
+            if cfg.politeness_delay > 0:
+                # pacing needs per-actor clocks → actor pool
+                fetched = wave_ds.map_batches(
+                    Fetcher,
+                    fn_constructor_kwargs={"store_ref": store_ref,
+                                           "delay": cfg.politeness_delay},
+                    batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
+                    concurrency=(1, cfg.fetch_concurrency), num_cpus=0.25,
+                )
+                parts.append(fetched.map_batches(
+                    lambda b: _validate_and_link(b, ngram_size, link_spec),
+                    batch_format="pyarrow"))
+            else:
+                # stateless fetch+validate tasks — no per-wave actor pool
+                # spin-up; broadcasts memoized per worker
+                def fetch_validate(b: pa.Table) -> pa.Table:
+                    f = Fetcher(_get_broadcast(store_ref), 0.0)
+                    return _validate_and_link(f(b), ngram_size, link_spec)
+
+                parts.append(wave_ds.map_batches(
+                    fetch_validate, batch_format="pyarrow",
+                    batch_size=cfg.fetch_batch_size))
+        if refs:
+            parts.append(rd.from_arrow_refs(refs).map_batches(
+                keep, batch_format="pyarrow"))
+        prevalidated = parts[0]
+        for p in parts[1:]:
+            prevalidated = prevalidated.union(p)
+        with _by_value(cfg.extra_link_filter):  # runs in the fetch tasks
+            validated = prevalidated.map_batches(
+                lambda b: _with_store_flags(b, probe),
+                batch_format="pyarrow").materialize()
+        return validated, n_spec
+
+    # --------------------------------------------------- wave pipelining --
     def _launch_speculation(self) -> None:
         """Fire speculative fetch+validate tasks for the predicted next
         slice (frontier backlog) — they run while THIS wave's gate/link/
@@ -928,376 +1130,210 @@ class CrawlEngine:
         if pred is None or not len(pred):
             return
         new = pred[~pred["seq"].isin(self._spec_seqs)]
-        if not len(new):
-            return
         bs = self.config.fetch_batch_size
         cols = ["seq", "url_norm", "host", "wave"]
         for i in range(0, len(new), bs):
             chunk = new.iloc[i:i + bs]
             tbl = pa.Table.from_pandas(chunk[cols], preserve_index=False)
-            ref = _spec_fetch_validate.remote(
-                self.store_ref, tbl, self.config.ngram_size, self._link_spec)
+            with _by_value(self.config.extra_link_filter):
+                ref = _spec_fetch_validate.remote(
+                    self.store_ref, tbl, self.config.ngram_size, self._link_spec)
             seqs = chunk["seq"].to_numpy(dtype=np.int64)
             self._spec.append((ref, seqs))
             self._spec_seqs.update(int(s) for s in seqs)
 
-    def _spec_hits(self, wave_df: pd.DataFrame):
-        """(refs covering this wave, covered seq set) — refs stay alive for
-        their unconsumed rows; consumed seqs are pruned at wave end."""
-        if not self._spec:
-            return [], set()
-        wave_seqs = {int(s) for s in wave_df["seq"]}
-        use, covered = [], set()
+    def _take_speculated(self, wave_df: pd.DataFrame):
+        """This wave's rows already fetched by speculation, for either fetch
+        route: (the rows still to fetch, the speculative tables covering
+        the wave, the batch filter keeping the wave's rows of them, rows
+        served).  The tables stay alive for their other rows; consumed
+        seqs are pruned at wave end (_spec_prune)."""
+        wave_seqs = set(wave_df["seq"].tolist())
+        refs, covered = [], set()
         for ref, seqs in self._spec:
-            hit = [int(x) for x in seqs if int(x) in wave_seqs]
+            hit = wave_seqs.intersection(seqs.tolist())
             if hit:
-                use.append(ref)
-                covered.update(hit)
-        return use, covered
+                refs.append(ref)
+                covered |= hit
+        if not covered:
+            return wave_df, [], None, 0
+        return (wave_df[~wave_df["seq"].isin(covered)], refs,
+                _keep_seqs(covered), len(covered))
 
     def _spec_prune(self, wave_df: pd.DataFrame) -> None:
         if not self._spec:
             return
-        consumed = np.fromiter((int(s) for s in wave_df["seq"]), dtype=np.int64,
-                               count=len(wave_df))
+        consumed = wave_df["seq"].to_numpy(dtype=np.int64)
         kept = []
         for ref, seqs in self._spec:
             rest = seqs[~np.isin(seqs, consumed)]
             if rest.size:
                 kept.append((ref, rest))
         self._spec = kept
-        self._spec_seqs.difference_update(int(s) for s in consumed)
+        self._spec_seqs.difference_update(consumed.tolist())
 
-    def run_wave(self) -> bool:
-        """Run one wave; returns False when the crawl is finished."""
-        if len(self.pool) == 0:
-            return False
-        if self.config.max_waves is not None and self.wave >= self.config.max_waves:
-            return False
-        wave_df = self._wave_slice()
-        if len(wave_df) == 0:
-            return False
-        t0 = time.monotonic()
+    # ------------------------------------------------------------ resolve --
+    def _resolve_wave_driver(self, validated, rank_map: dict[int, int],
+                             plan: _WavePlan):
+        """Content gate on the driver: the wave's fingerprints + store
+        flags in processing order → live rows → exact sequential resolve
+        (``resolve_wave``).  Inline waves probe the store here; distributed
+        ones carry the flags their fetch tasks computed.  Arrow end to end:
+        pandas conversion of the list<int64> shingle column costs ~10× the
+        gate loop itself at 10^5-row waves.  Returns (decision by seq,
+        fetched seqs, their statuses, the accepted pages' (seq, cands) —
+        pulled in the same projection when the links gate on the driver,
+        else None)."""
+        from searchengine_ray.stages.content_probe import resolve_wave
+
         cfg = self.config
-        self._last_delta_tbl = None  # reset the per-wave checkpoint delta
-        self._last_delta_ds = None
-        # processing rank of each page in this wave (row order of the slice);
-        # all order-dependent gates run in THIS order — identical to seq
-        # order under FIFO, priority order under a priority_fn
-        rank_map = {int(s): i for i, s in enumerate(wave_df["seq"])}
-
-        # wave pipelining: fire the predicted-next-wave speculative fetches
-        # FIRST — they overlap this wave's whole pipeline
-        if self._spec_on():
-            self._launch_speculation()
-
-        # Small waves (BFS head/tail) skip Ray Data task scheduling and run
-        # the SAME kernels inline on the driver — identical semantics (the
-        # conformance suite runs both paths), ~10× lower per-wave overhead.
-        # Wide waves take the distributed path, which is what scales.
-        inline = len(wave_df) <= cfg.inline_wave_threshold
-        if inline:
-            validated_tbl = self._fetch_validate_inline(wave_df)
-            validated = None
-        else:
-            probe = self._store_probe()
-            ngram_size = cfg.ngram_size
-            store_ref = self.store_ref
-            link_spec = self._link_spec
-            spec_refs, covered = self._spec_hits(wave_df)
-            fetch_df = (wave_df[~wave_df["seq"].isin(covered)]
-                        if covered else wave_df)
-            parts = []
-            if len(fetch_df):
-                # from_pandas yields ONE block and map parallelism is
-                # per-block — split the wave so every core gets tasks
-                # (blocks ≈ batch-sized, capped at 4×cluster CPUs).
-                # NOTE: driver-side pre-splitting via rd.from_blocks was
-                # tried (kills this repartition exchange, ~15-20% on the
-                # many-wave shape) and REVERTED: it flaky-deadlocks the
-                # streaming executor inside this materialize on small
-                # (4-CPU) sessions — hung 3 of 6 suite runs at
-                # test_engine_matches_oracle_distributed_append, always
-                # in get_output_blocking, while this construction has
-                # survived every suite since round 1.
-                ncpu = int(ray.cluster_resources().get("CPU", 8))
-                # ≥8 rows per block, capped at 4×CPUs: small waves still
-                # fan out (each page's links explode in its fetch task),
-                # big waves get full blocks
-                nblocks = max(1, min(len(fetch_df) // 8 + 1, 4 * ncpu))
-                wave_ds = rd.from_pandas(fetch_df).repartition(nblocks)
-                if cfg.politeness_delay > 0:
-                    # pacing needs per-actor clocks → actor pool
-                    fetched = wave_ds.map_batches(
-                        Fetcher,
-                        fn_constructor_kwargs={"store_ref": store_ref,
-                                               "delay": cfg.politeness_delay},
-                        batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-                        concurrency=(1, cfg.fetch_concurrency), num_cpus=0.25,
-                    )
-                    parts.append(fetched.map_batches(
-                        lambda b: _validate_and_link(b, ngram_size, link_spec),
-                        batch_format="pyarrow"))
-                else:
-                    # stateless fetch+validate tasks — no per-wave actor
-                    # pool spin-up; broadcasts memoized per worker
-                    def fetch_validate(b: pa.Table) -> pa.Table:
-                        f = Fetcher(_get_broadcast(store_ref), 0.0)
-                        return _validate_and_link(f(b), ngram_size, link_spec)
-
-                    parts.append(wave_ds.map_batches(
-                        fetch_validate, batch_format="pyarrow",
-                        batch_size=cfg.fetch_batch_size))
-            if spec_refs:
-                # already-fetched speculative rows: keep this wave's seqs
-                cov_ref = ray.put(pa.array(sorted(covered), pa.int64()))
-
-                def keep_wave(b: pa.Table) -> pa.Table:
-                    import pyarrow.compute as pc
-
-                    return b.filter(pc.is_in(b["seq"],
-                                             value_set=ray.get(cov_ref)))
-
-                parts.append(rd.from_arrow_refs(spec_refs).map_batches(
-                    keep_wave, batch_format="pyarrow"))
-            prevalidated = parts[0]
-            for p in parts[1:]:
-                prevalidated = prevalidated.union(p)
-            validated = prevalidated.map_batches(
-                lambda b: _with_store_flags(b, probe),
-                batch_format="pyarrow").materialize()
-            validated_tbl = None
-
-        t_fetch = time.monotonic() - t0
-
-        # ---- routes: wave size alone picks each (CrawlConfig thresholds) --
-        # the candidate bound assumes ≤ max_links_per_page links per page
-        n_pages = len(wave_df)
-        n_cand_bound = n_pages * cfg.max_links_per_page
-        driver_resolve = inline or n_pages <= cfg.driver_fp_threshold
-        driver_links = inline or n_cand_bound <= cfg.driver_link_threshold
-        if inline:
-            routes = {k: _route_record(True, n_pages, "inline_wave_threshold",
-                                       cfg.inline_wave_threshold)
-                      for k in ("resolve_route", "link_route")}
-        else:
-            routes = {
-                "resolve_route": _route_record(
-                    driver_resolve, n_pages, "driver_fp_threshold",
-                    cfg.driver_fp_threshold),
-                "link_route": _route_record(
-                    driver_links, n_cand_bound, "driver_link_threshold",
-                    cfg.driver_link_threshold)}
-
-        # ---- content gate: compact fingerprints only, in seq order --------
-        # Arrow end to end: pandas conversion of the list<int64> shingle
-        # column costs ~10× the gate loop itself at 10^5-row waves.
-        import pyarrow.compute as pc
-
         fp_cols = ["seq", "status", "integrity_ok", "shingles", "phash"]
-        decision = None
-        acc_cands = None  # driver link route: accepted pages' (seq, cands)
-        if driver_resolve:
-            # driver resolve: the wave's fingerprints + store flags in
-            # processing order → live rows → exact sequential resolve.
-            # Inline waves probe the store here; distributed ones carry the
-            # flags their fetch tasks computed.  The driver link route
-            # pulls the pages' cands in the same projection.
-            from searchengine_ray.stages.content_probe import resolve_wave
-
-            flag_cols = ["store_text_dup", "store_image_dup"]
-            cand_cols = ["cands"] if driver_links else []
-            if inline:
-                fp_tbl = _with_store_flags(
-                    validated_tbl.select(fp_cols + cand_cols),
-                    self._store_probe())
-            else:
-                fp_tbl = pa.concat_tables(ray.get(validated.select_columns(
-                    fp_cols + flag_cols + cand_cols).to_arrow_refs()))
-            fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
-                [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
-            live_full = fp_tbl.filter(
-                pc.and_(pc.equal(fp_tbl["status"], 200), fp_tbl["integrity_ok"])
-            )
-            live_tbl = live_full.select(["seq", "shingles", "phash"])
-            gate_out = resolve_wave(
-                live_tbl,
-                *(np.asarray(live_full[c].to_numpy(zero_copy_only=False))
-                  for c in flag_cols),
-                cfg.content_max_similarity, cfg.phash_max_hamming,
-            )
-            self._append_store_fp(live_tbl, gate_out)
-            if driver_links:
-                acc_cands = live_full.filter(pa.array(
-                    [d == "accept" for d in gate_out], pa.bool_())
-                ).select(["seq", "cands"])
+        flag_cols = ["store_text_dup", "store_image_dup"]
+        cand_cols = ["cands"] if plan.driver_links else []
+        if plan.inline:
+            fp_tbl = _with_store_flags(validated.select(fp_cols + cand_cols),
+                                       self._store_probe())
         else:
-            # GIANT wave: the fingerprints (shingle lists) never concat on
-            # the driver — distributed interaction graph, interacting-only
-            # pull, sequential replay of (typically ~0) walk pages
-            decision, fp_seqs, fp_status = self._resolve_wave_distributed(
-                validated, rank_map)
-        if decision is None:
-            decision = dict(zip(live_tbl["seq"].to_pylist(), gate_out))
-            fp_seqs = fp_tbl["seq"].to_pylist()
-            fp_status = fp_tbl["status"].to_pylist()
-        for s in fp_seqs:
-            if s not in decision:
-                decision[s] = "error"
+            fp_tbl = pa.concat_tables(ray.get(validated.select_columns(
+                fp_cols + flag_cols + cand_cols).to_arrow_refs()))
+        fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
+            [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
+        live_full = fp_tbl.filter(
+            pc.and_(pc.equal(fp_tbl["status"], 200), fp_tbl["integrity_ok"]))
+        live_tbl = live_full.select(["seq", "shingles", "phash"])
+        gate_out = resolve_wave(
+            live_tbl,
+            *(np.asarray(live_full[c].to_numpy(zero_copy_only=False))
+              for c in flag_cols),
+            cfg.content_max_similarity, cfg.phash_max_hamming,
+        )
+        self._append_store_fp(live_tbl, gate_out)
+        acc_cands = (live_full.filter(pa.array(
+            [d == "accept" for d in gate_out], pa.bool_())).select(["seq", "cands"])
+            if plan.driver_links else None)
+        return (dict(zip(live_tbl["seq"].to_pylist(), gate_out)),
+                fp_tbl["seq"].to_pylist(), fp_tbl["status"].to_pylist(), acc_cands)
 
-        self.pages_fetched += len(fp_seqs)
-
-        # ---- crawl order record ------------------------------------------
+    # -------------------------------------------------------- order, sink --
+    def _order_record(self, wave_df: pd.DataFrame, decision: dict,
+                      fp_seqs: list, fp_status: list) -> pd.DataFrame:
+        """The wave's crawl-order rows.  With a checkpoint they land only
+        on disk (``_checkpoint``) — the driver heap stays flat across
+        waves; without one they are held for ``result()``."""
         order_df = wave_df[["seq", "url_norm"]].copy()
         order_df["wave"] = np.int32(self.wave)  # fetch wave (≠ discovery wave in budget mode)
         order_df["rank"] = np.arange(len(order_df), dtype=np.int64)  # processing order
         order_df["status"] = order_df["seq"].map(dict(zip(fp_seqs, fp_status)))
         order_df["decision"] = order_df["seq"].map(decision)
-        # with a checkpoint + hold_order_in_memory=False the per-wave order
-        # lands ONLY on disk — the driver's heap stays flat across waves
-        if cfg.hold_order_in_memory or not cfg.checkpoint_dir:
+        if not self.config.checkpoint_dir:
             self.crawl_order_frames.append(order_df)
+        return order_df
 
-        t_gate = time.monotonic() - t0 - t_fetch
-
-        # ---- pages sink (accepted payload rows) ---------------------------
-        accepted_seqs = {s for s, d in decision.items() if d == "accept"}
-        page_cols = ["image_id", "bytes", "w", "h", "fmt", "caption", "phash",
-                     "url_norm", "wave", "seq"]
-        pages_dir = None
-        accepted_arr = pa.array(sorted(accepted_seqs), type=pa.int64())
-        if inline:
-            mask = pc.is_in(validated_tbl["seq"], value_set=accepted_arr)
-            accepted_tbl = validated_tbl.filter(mask)
-            if cfg.checkpoint_dir:
-                pages_dir = os.path.join(cfg.checkpoint_dir, "pages",
-                                         f"wave={self.wave}")
-                tmp = pages_dir + ".tmp"
-                if os.path.exists(tmp):
-                    shutil.rmtree(tmp)
-                os.makedirs(tmp, exist_ok=True)
-                import pyarrow.parquet as pq
-
-                pq.write_table(accepted_tbl.select(page_cols),
+    def _sink_pages(self, validated, keep_accepted, plan: _WavePlan) -> None:
+        """Accepted payload rows → the checkpoint's ``pages/wave=N``
+        directory; without a checkpoint there is no payload sink."""
+        if not self.config.checkpoint_dir:
+            return
+        if plan.inline:
+            def write(tmp: str) -> None:
+                os.makedirs(tmp)
+                pq.write_table(keep_accepted(validated).select(_PAGE_COLS),
                                os.path.join(tmp, "part-0.parquet"))
-                if os.path.exists(pages_dir):
-                    shutil.rmtree(pages_dir)
-                os.replace(tmp, pages_dir)
         else:
-            seq_ref = ray.put(accepted_arr)
-
-            def keep_accepted(b: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                m = pc.is_in(b["seq"], value_set=ray.get(seq_ref))
-                return b.filter(m)
-
-            if cfg.checkpoint_dir:
-                pages_dir = os.path.join(cfg.checkpoint_dir, "pages",
-                                         f"wave={self.wave}")
-                tmp = pages_dir + ".tmp"
-                if os.path.exists(tmp):
-                    shutil.rmtree(tmp)
+            def write(tmp: str) -> None:
                 validated.map_batches(keep_accepted, batch_format="pyarrow"
-                                      ).select_columns(page_cols).write_parquet(tmp)
-                os.makedirs(tmp, exist_ok=True)  # 0-row write creates nothing
-                if os.path.exists(pages_dir):
-                    shutil.rmtree(pages_dir)
-                os.replace(tmp, pages_dir)
+                                      ).select_columns(_PAGE_COLS).write_parquet(tmp)
+        storage.replace_dir(os.path.join(self.config.checkpoint_dir, "pages",
+                                         f"wave={self.wave}"), write)
 
-        # ---- host gate: the accepted pages' link candidates ---------------
-        # (explode + robots already ran in the fetch map, under
-        # fetch_validate).  No batch-local dedup may run before the
-        # accepted-page filter: occurrence counts and first occurrences
-        # would count content-rejected parents.
-        if driver_links:
-            if acc_cands is None:
-                # the resolve ran distributed: pull only accepted pages
-                refs = validated.select_columns(["seq", "cands"]).map_batches(
-                    keep_accepted, batch_format="pyarrow").to_arrow_refs()
-                acc_cands = pa.concat_tables(ray.get(refs)) if refs else None
-            links = (_flatten_candidates(acc_cands, rank_map)
-                     if acc_cands is not None else _empty_gate_frame())
+    # -------------------------------------------------------------- links --
+    def _gate_links(self, validated, acc_cands, keep_accepted,
+                    rank_map: dict[int, int], plan: _WavePlan):
+        """Host gate over the ACCEPTED pages' link candidates (explode +
+        robots already ran in the fetch map).  No batch-local dedup may run
+        before the accepted-page filter: occurrence counts and first
+        occurrences would count content-rejected parents.  Returns (gate
+        frame, or None when the accepted links stay distributed; the gated
+        dataset of a giant wave, else None; ``_gate_totals``)."""
+        if plan.driver_links:
+            links = _flatten_candidates(acc_cands, rank_map)
             gate_res = (self._host_gate_inline(links) if len(links)
                         else _empty_gate_frame())
-        else:
-            rank_ref = ray.put(rank_map)
-            gate_hosts = self.gate_hosts
-            nshards = cfg.num_gate_shards
+            return gate_res, None, _gate_totals(gate_res)
+        cfg = self.config
+        rank_ref = ray.put(rank_map)
+        gate_hosts = self.gate_hosts
+        nshards = cfg.num_gate_shards
 
-            def accepted_candidates(b: pa.Table) -> pd.DataFrame:
-                return _dedup_candidates(_flatten_candidates(
-                    keep_accepted(b), _get_broadcast(rank_ref)))
+        def accepted_candidates(b: pa.Table) -> pd.DataFrame:
+            return _dedup_candidates(_flatten_candidates(
+                keep_accepted(b), _get_broadcast(rank_ref)))
 
-            def host_gate(g: pd.DataFrame) -> pd.DataFrame:
-                # the gate RPC carries only unique candidates, in discovery
-                # order (occurrence-weighted across batches)
-                g = _dedup_candidates(g)
-                host = g["host"].iloc[0]
-                shard = _host_shard(host, nshards)
-                rows = list(zip(g["host"], g["url_norm"], g["url_hash"]))
-                (out,) = ray.get(gate_hosts[shard % len(gate_hosts)]
-                                 .process.remote([(shard, rows)]))
-                g["decision"] = out
-                return g
+        def host_gate(g: pd.DataFrame) -> pd.DataFrame:
+            # the gate RPC carries only unique candidates, in discovery
+            # order (occurrence-weighted across batches)
+            g = _dedup_candidates(g)
+            host = g["host"].iloc[0]
+            shard = _host_shard(host, nshards)
+            rows = list(zip(g["host"], g["url_norm"], g["url_hash"]))
+            (out,) = ray.get(gate_hosts[shard % len(gate_hosts)]
+                             .process.remote([(shard, rows)]))
+            g["decision"] = out
+            return g
 
-            # GIANT wave: accepted → flatten → batch-local dedup → groupby
-            # → gate, materialized: the gate RPCs mutate actor state and
-            # must run EXACTLY once; the blocks stay distributed in the
-            # object store, never on the driver
-            gated = (
-                validated.select_columns(["seq", "cands"])
-                .map_batches(accepted_candidates, batch_format="pyarrow")
-                .groupby("host")
-                .map_groups(host_gate, batch_format="pandas")
-                .materialize()
-            )
-            gate_res = None
-            totals = _gate_totals_distributed(gated)
-            # few accepts → driver seq assignment is still cheaper
-            # than the distributed append's extra all-to-all stages
-            # (frame provably bounded by the thresholds)
-            if totals["accept"] <= cfg.driver_link_threshold \
-                    and totals["cand"] <= 4 * cfg.driver_link_threshold:
-                gate_res = gated.to_pandas()
-                if gate_res.empty:
-                    gate_res = _empty_gate_frame()
-        if gate_res is not None:
-            totals = _gate_totals(gate_res)
-        link_dec = _link_decision_counts(totals)
+        # GIANT wave: accepted → flatten → batch-local dedup → groupby →
+        # gate, materialized: the gate RPCs mutate actor state and must run
+        # EXACTLY once; the blocks stay distributed in the object store
+        gated = (
+            validated.select_columns(["seq", "cands"])
+            .map_batches(accepted_candidates, batch_format="pyarrow")
+            .groupby("host")
+            .map_groups(host_gate, batch_format="pandas")
+            .materialize()
+        )
+        totals = _gate_totals_distributed(gated)
+        # few accepts → driver seq assignment is still cheaper than the
+        # distributed append's extra all-to-all stages (frame provably
+        # bounded by the thresholds)
+        gate_res = None
+        if totals["accept"] <= cfg.driver_link_threshold \
+                and totals["cand"] <= 4 * cfg.driver_link_threshold:
+            gate_res = gated.to_pandas()
+            if gate_res.empty:
+                gate_res = _empty_gate_frame()
+        return gate_res, gated, totals
 
-        t_links = time.monotonic() - t0 - t_fetch - t_gate
+    # ------------------------------------------------------------- append --
+    def _append_frontier(self, gate_res, gated) -> None:
+        """frontier(w+1): the accepted links get FIFO seqs in (parent rank,
+        link_idx) order — on the driver, or distributed when the accepted
+        links stayed in the gated dataset (``gate_res`` None)."""
+        pf = self.config.priority_fn
+        if gate_res is None:
+            self.next_seq += self._append_frontier_distributed(gated, pf)
+            return
+        acc = gate_res[gate_res["decision"] == "accept"].sort_values(
+            ["parent_rank", "link_idx"]).reset_index(drop=True)
+        prios = (np.array([pf(u, h, self.wave + 1)
+                           for u, h in zip(acc["url_norm"], acc["host"])],
+                          dtype=np.float64)
+                 if pf else np.zeros(len(acc), dtype=np.float64))
+        self.pool.add(pd.DataFrame({
+            "seq": self.next_seq + np.arange(len(acc), dtype=np.int64),
+            "url_norm": acc["url_norm"],
+            "host": acc["host"],
+            "wave": np.int32(self.wave + 1),
+            "priority": prios,
+        }))
+        self.next_seq += len(acc)
 
-        # ---- frontier(w+1): FIFO seq assignment ---------------------------
-        pf = cfg.priority_fn
-        if gate_res is not None:
-            accepted_links = gate_res[gate_res["decision"] == "accept"].sort_values(
-                ["parent_rank", "link_idx"]
-            ).reset_index(drop=True)
-            prios = (
-                np.array([pf(u, h, self.wave + 1) for u, h in
-                          zip(accepted_links["url_norm"], accepted_links["host"])],
-                         dtype=np.float64)
-                if pf else np.zeros(len(accepted_links), dtype=np.float64)
-            )
-            new_rows = pd.DataFrame({
-                "seq": self.next_seq + np.arange(len(accepted_links), dtype=np.int64),
-                "url_norm": accepted_links["url_norm"],
-                "host": accepted_links["host"],
-                "wave": np.int32(self.wave + 1),
-                "priority": prios,
-            })
-            n_accepted = len(accepted_links)
-            self.pool.add(new_rows)
-        else:
-            n_accepted = self._append_frontier_distributed(gated, pf)
-        self.next_seq += n_accepted
-
-        # ---- metrics ------------------------------------------------------
+    # ------------------------------------------------------------- metric --
+    def _wave_metric(self, order_df: pd.DataFrame, n_fetched: int, wall: float,
+                     spans: dict, plan: _WavePlan, totals: dict,
+                     n_spec: int) -> dict:
         from collections import Counter
 
-        page_dec = Counter(order_df["decision"])
-        wall = time.monotonic() - t0
+        link_dec = _link_decision_counts(totals)
         n_cand = totals["cand"]
         n_link_dups = int(link_dec.get("dup", 0) + link_dec.get("trap", 0))
         # per-partition (gate-shard) lineage: seen-set size per shard +
@@ -1306,22 +1342,25 @@ class CrawlEngine:
         shard_seen = self._gate_all("seen_counts")
         per_host = order_df["url_norm"].map(
             lambda u: u.split("/")[2]).value_counts().to_dict()
-        metric = {
+        return {
             "driver_rss_mb": _driver_rss_mb(),
             "driver_private_mb": _driver_private_mb(),
             "wave": self.wave,
-            "fetched": int(len(fp_seqs)),
-            "pages_per_sec": round(len(fp_seqs) / wall, 2) if wall > 0 else None,
+            "fetched": int(n_fetched),
+            "pages_per_sec": round(n_fetched / wall, 2) if wall > 0 else None,
             "wall_sec": round(wall, 3),
             # fetch_validate includes the link explode + robots filter (in
-            # the fetch map); links_gate is the pages sink, the candidate
-            # flatten and the host gate
-            "stage_sec": {"fetch_validate": round(t_fetch, 3),
-                          "content_gate": round(t_gate, 3),
-                          "links_gate": round(t_links, 3)},
-            "inline": inline,
-            **routes,
-            "page_decisions": dict(page_dec),
+            # the fetch map); content_gate is the resolve and the order
+            # record; links_gate is the pages sink and the host gate
+            "stage_sec": {
+                "fetch_validate": round(spans["fetch_validate"], 3),
+                "content_gate": round(spans["resolve"] + spans["order"], 3),
+                "links_gate": round(spans["sink"] + spans["links"], 3)},
+            "spans": spans,
+            "spec_rows": int(n_spec),
+            "inline": plan.inline,
+            **plan.routes,
+            "page_decisions": dict(Counter(order_df["decision"])),
             "link_candidates": n_cand,
             "link_decisions": dict(link_dec),
             "link_dedup_rate": round(n_link_dups / n_cand, 4) if n_cand else 0.0,
@@ -1330,13 +1369,6 @@ class CrawlEngine:
             "frontier_pending": int(len(self.pool)),
             "next_seq": int(self.next_seq),
         }
-        self.metrics.append(metric)
-
-        if cfg.checkpoint_dir:
-            self._checkpoint(order_df, metric)
-        self._spec_prune(wave_df)
-        self.wave += 1
-        return True
 
     # ------------------------------------------ distributed content resolve --
     def _resolve_wave_distributed(self, validated, rank_map: dict[int, int]):
@@ -1355,8 +1387,6 @@ class CrawlEngine:
            blocks (``_append_store_fp_distributed``) — never a driver table.
 
         Returns (decision dict, fp_seqs, fp_status)."""
-        import pyarrow.compute as pc
-
         from searchengine_ray.stages.content_probe import (
             interacting_seqs_distributed, resolve_wave_split)
 
@@ -1373,14 +1403,9 @@ class CrawlEngine:
             validated, cfg.content_max_similarity, cfg.phash_max_hamming)
         walk_tbl = None
         if inter.size:
-            inter_ref = ray.put(pa.array(inter.tolist(), pa.int64()))
-
-            def keep_inter(b: pa.Table) -> pa.Table:
-                return b.filter(pc.is_in(b["seq"], value_set=ray.get(inter_ref)))
-
             walk_tbl = pa.concat_tables(ray.get(
                 validated.select_columns(["seq", "shingles", "phash"])
-                .map_batches(keep_inter, batch_format="pyarrow")
+                .map_batches(_keep_seqs(inter), batch_format="pyarrow")
                 .to_arrow_refs()))
         decision = resolve_wave_split(
             live_meta, walk_tbl, rank_map,
@@ -1398,19 +1423,9 @@ class CrawlEngine:
         self._last_delta_ds = None
         if accepted.size == 0:
             return
-        acc_ref = ray.put(pa.array(accepted.tolist(), pa.int64()))
-
-        def keep(b: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            m = pc.and_(
-                pc.and_(pc.equal(b["status"], 200), b["integrity_ok"]),
-                pc.is_in(b["seq"], value_set=ray.get(acc_ref)))
-            return b.filter(m).select(["seq", "shingles", "phash"])
-
-        acc_ds = validated.select_columns(
-            ["seq", "shingles", "phash", "status", "integrity_ok"]
-        ).map_batches(keep, batch_format="pyarrow").materialize()
+        # accepted pages are live pages: no status/integrity filter needed
+        acc_ds = validated.select_columns(["seq", "shingles", "phash"]).map_batches(
+            _keep_seqs(accepted), batch_format="pyarrow").materialize()
         refs = acc_ds.to_arrow_refs()
         self._last_delta_ds = acc_ds  # _checkpoint writes the delta from this
         if self.probe_tier is not None:
@@ -1474,31 +1489,9 @@ class CrawlEngine:
                 "priority": prios,
             })
 
-        # priority_fn now runs INSIDE tasks: functions from modules the
-        # workers can't import (e.g. a test module) must ship by value
-        mod = None
-        if pf is not None:
-            import sys as _sys
-
-            from ray import cloudpickle as _cp
-
-            mod = _sys.modules.get(getattr(pf, "__module__", ""))
-            if mod is not None and mod.__name__ not in ("__main__", "builtins"):
-                try:
-                    _cp.register_pickle_by_value(mod)
-                except Exception:
-                    mod = None
-        try:
+        with _by_value(pf):  # priority_fn runs INSIDE the tasks
             self.pool.add_dataset(
                 ranked.map_batches(to_pool_rows, batch_format="pandas"))
-        finally:
-            if mod is not None:
-                try:
-                    from ray import cloudpickle as _cp
-
-                    _cp.unregister_pickle_by_value(mod)
-                except Exception:
-                    pass
         return n_accepted
 
     # ------------------------------------------------------------ checkpoint
@@ -1525,17 +1518,10 @@ class CrawlEngine:
             )
         elif self._last_delta_ds is not None:
             # giant-wave delta: distributed parquet write of the dataset
-            # blocks (tmp + rename for atomicity) — never a driver table
-            dest = os.path.join(d, "state", f"wave={self.wave}",
-                                "content_delta_dir")
-            tmp = dest + ".tmp"
-            if os.path.exists(tmp):
-                shutil.rmtree(tmp)
-            self._last_delta_ds.write_parquet(tmp)
-            os.makedirs(tmp, exist_ok=True)  # 0-row write creates nothing
-            if os.path.exists(dest):
-                shutil.rmtree(dest)
-            os.replace(tmp, dest)
+            # blocks — never a driver table
+            storage.replace_dir(
+                os.path.join(d, "state", f"wave={self.wave}", "content_delta_dir"),
+                self._last_delta_ds.write_parquet)
         storage.write_json_atomic(metric, os.path.join(d, "metrics", f"wave={self.wave}.json"))
         storage.write_json_atomic(
             {"format": _CHECKPOINT_FORMAT,
@@ -1589,8 +1575,6 @@ class CrawlEngine:
             elif os.path.isdir(os.path.join(sd, "content_delta_dir")):
                 # giant-wave delta dir: replay per FILE so the driver holds
                 # one block transiently, never the wave
-                import pyarrow.parquet as pq
-
                 ddir = os.path.join(sd, "content_delta_dir")
                 delta_tbls = [pq.read_table(os.path.join(ddir, f))
                               for f in sorted(os.listdir(ddir))
@@ -1604,10 +1588,6 @@ class CrawlEngine:
                     self._store_delta_refs.append(ray.put(tbl))
         if admit_futs:
             ray.get(admit_futs)
-        if self.config.hold_order_in_memory:
-            for wv in range(w + 1):
-                t = storage.read_table(os.path.join(d, "crawl_order", f"wave={wv}"))
-                self.crawl_order_frames.append(t.to_pandas())
 
     @classmethod
     def resume(cls, store: SyntheticStore, config: CrawlConfig) -> "CrawlEngine":
@@ -1623,29 +1603,25 @@ class CrawlEngine:
     def result(self) -> CrawlResult:
         """Build the result HANDLE — O(shards) driver work: each gate shard
         spills its own seen-hash table (actor-side write, count-only RPC
-        reply) and the order log is passed as held frames or the per-wave
-        checkpoint directory.  Nothing O(crawl) lands on the driver here;
-        the eager views on CrawlResult are lazy and explicit."""
+        reply) and the order log is passed as the held frames or, with a
+        checkpoint, its per-wave directory.  Nothing O(crawl) lands on the
+        driver here; the eager views on CrawlResult are lazy and explicit."""
         import tempfile
 
-        if self.config.checkpoint_dir:
-            seen_dir = os.path.join(self.config.checkpoint_dir, "url_seen")
-        else:
-            seen_dir = tempfile.mkdtemp(prefix="crawl_url_seen_")
+        ck = self.config.checkpoint_dir
+        seen_dir = (os.path.join(ck, "url_seen") if ck
+                    else tempfile.mkdtemp(prefix="crawl_url_seen_"))
         counts = self._gate_all("dump_seen_to", [
             os.path.join(seen_dir, f"shard={i}")
             for i in range(self.config.num_gate_shards)])
-        hold = bool(self.crawl_order_frames) or not self.config.checkpoint_dir
         return CrawlResult(
-            order_frames=self.crawl_order_frames if hold else None,
-            order_dir=os.path.join(self.config.checkpoint_dir, "crawl_order")
-            if self.config.checkpoint_dir else None,
+            order_frames=None if ck else self.crawl_order_frames,
+            order_dir=os.path.join(ck, "crawl_order") if ck else None,
             num_waves=self.wave,
             seen_dir=seen_dir,
             shard_seen_counts=counts,
             metrics=self.metrics,
-            pages_dir=os.path.join(self.config.checkpoint_dir, "pages")
-            if self.config.checkpoint_dir else None,
+            pages_dir=os.path.join(ck, "pages") if ck else None,
         )
 
     def shutdown(self, timeout_s: float = 15.0) -> None:
@@ -1661,6 +1637,14 @@ class CrawlEngine:
         if getattr(self, "_shutdown_done", False):
             return
         self._shutdown_done = True
+        # speculative fetches never consumed (a crawl stopped by max_waves
+        # or max_pages) must not keep holding CPUs the next engine needs
+        spec = [ref for ref, _seqs in self._spec]
+        for ref in spec:
+            ray.cancel(ref)
+        if spec:
+            ray.wait(spec, num_returns=len(spec), timeout=timeout_s)
+        self._spec, self._spec_seqs = [], set()
         if self.probe_tier is None:
             # the driver's replica of the store (built by inline waves)
             from searchengine_ray.stages.content_probe import drop_store_index

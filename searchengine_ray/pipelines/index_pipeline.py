@@ -40,6 +40,7 @@ from ray.data import Dataset
 
 from searchengine_ray.functions.html import extract_tag_texts, extract_text
 from searchengine_ray.functions.tokenizer import calculate_term_weights, term_frequencies, tokenize_fast
+from searchengine_ray.sources import storage
 from searchengine_ray.stages import text as text_stage
 
 # Most rows the driver takes into memory: the query term slice
@@ -120,29 +121,13 @@ def write_index(
     os.makedirs(out_dir, exist_ok=True)
     sorted_ds = postings.sort("token")  # O1 global sort (range shuffle)
     idx_dir = os.path.join(out_dir, "postings")
-    tmp = idx_dir + ".tmp"
-    import shutil
+    storage.replace_dir(idx_dir, lambda tmp: sorted_ds.write_parquet(
+        tmp, min_rows_per_file=200_000))
 
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    sorted_ds.write_parquet(tmp, min_rows_per_file=200_000)
-    os.makedirs(tmp, exist_ok=True)
-    if os.path.exists(idx_dir):
-        shutil.rmtree(idx_dir)
-    os.replace(tmp, idx_dir)
-
-    if docs is not None:
-        doc_map = docs.select_columns([id_col, url_col]) if url_col else None
-        if doc_map is not None:
-            dm_dir = os.path.join(out_dir, "doc_map")
-            tmp = dm_dir + ".tmp"
-            if os.path.exists(tmp):
-                shutil.rmtree(tmp)
-            doc_map.write_parquet(tmp)
-            os.makedirs(tmp, exist_ok=True)
-            if os.path.exists(dm_dir):
-                shutil.rmtree(dm_dir)
-            os.replace(tmp, dm_dir)
+    if docs is not None and url_col:
+        doc_map = docs.select_columns([id_col, url_col])
+        storage.replace_dir(os.path.join(out_dir, "doc_map"),
+                            doc_map.write_parquet)
 
     # analytics (reference index_construction.py:246-250)
     files = [os.path.join(idx_dir, f) for f in os.listdir(idx_dir)]
@@ -160,29 +145,26 @@ def write_index(
     # whole postings table.
     from searchengine_ray.stages.relational import pre_aggregate
 
-    df_dir = os.path.join(out_dir, "token_df")
-    tmp = df_dir + ".tmp"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    if n_postings:
+    def write_df(tmp: str) -> tuple[int, int]:
+        # (unique tokens, docs); a corpus that tokenizes to nothing gets a
+        # typed empty df table
+        if not n_postings:
+            os.makedirs(tmp)
+            pq.write_table(pa.table({"token": pa.array([], pa.string()),
+                                     "df": pa.array([], pa.int64())}),
+                           os.path.join(tmp, "empty.parquet"))
+            return 0, 0
         written = rd.read_parquet(idx_dir, columns=["doc_id", "token"])
         df_ds = pre_aggregate(written, ["token"],
                               {"df": (None, "count")}).materialize()
-        n_unique = df_ds.count()
         n_docs = pre_aggregate(
             rd.read_parquet(idx_dir, columns=["doc_id"]),
             ["doc_id"], {"c": (None, "count")}).count()
         df_ds.write_parquet(tmp)
-    else:  # the corpus tokenizes to nothing: a typed empty df table
-        n_unique = n_docs = 0
-        os.makedirs(tmp)
-        pq.write_table(pa.table({"token": pa.array([], pa.string()),
-                                 "df": pa.array([], pa.int64())}),
-                       os.path.join(tmp, "empty.parquet"))
-    os.makedirs(tmp, exist_ok=True)
-    if os.path.exists(df_dir):
-        shutil.rmtree(df_dir)
-    os.replace(tmp, df_dir)
+        return df_ds.count(), n_docs
+
+    n_unique, n_docs = storage.replace_dir(
+        os.path.join(out_dir, "token_df"), write_df)
 
     summary = {
         "n_postings": int(n_postings),
@@ -190,8 +172,6 @@ def write_index(
         "index_size_kb": round(size_kb, 1),  # A6
         "n_docs": int(n_docs),  # docs with ≥1 token (merge_index contract)
     }
-    from searchengine_ray.sources import storage
-
     storage.write_json_atomic(summary, os.path.join(out_dir, "summary.json"))
     return summary
 

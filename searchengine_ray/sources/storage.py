@@ -29,19 +29,30 @@ def table_uri(path: str) -> str:
     return path + (".lance" if HAVE_LANCE else ".parquet")
 
 
+def replace_dir(dest: str, write):
+    """Build directory ``dest`` atomically: any stale ``dest + ".tmp"`` is
+    cleared, ``write(tmp)`` fills it (a write that produced nothing leaves
+    an empty directory), then it replaces ``dest``.  Returns what ``write``
+    returned."""
+    tmp = dest + ".tmp"
+    if os.path.exists(tmp):
+        shutil.rmtree(tmp)
+    out = write(tmp)
+    os.makedirs(tmp, exist_ok=True)
+    if os.path.exists(dest):
+        shutil.rmtree(dest)
+    os.replace(tmp, dest)
+    return out
+
+
 def write_table_atomic(table: pa.Table, path: str) -> str:
     """Write a small/medium Arrow table atomically (tmp + rename)."""
     uri = table_uri(path)
     os.makedirs(os.path.dirname(uri), exist_ok=True)
-    tmp = uri + ".tmp"
     if HAVE_LANCE:  # pragma: no cover
-        if os.path.exists(tmp):
-            shutil.rmtree(tmp)
-        lance.write_dataset(table, tmp)
-        if os.path.exists(uri):
-            shutil.rmtree(uri)
-        os.replace(tmp, uri)
+        replace_dir(uri, lambda tmp: lance.write_dataset(table, tmp))
     else:
+        tmp = uri + ".tmp"
         pq.write_table(table, tmp)
         os.replace(tmp, uri)
     return uri

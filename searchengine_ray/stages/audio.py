@@ -1,7 +1,6 @@
 """Audio batch stages over opaque WAV payload columns.
 
-The REAL counterpart of the ``stages/images.DecodeAudio`` stub: the
-corpus (``sources/audio_table``) carries genuine RIFF/WAVE PCM16 payloads
+The corpus (``sources/audio_table``) carries genuine RIFF/WAVE PCM16 payloads
 and these stages decode and featurize them with the pure-numpy codec
 (``functions/audiocodec``).  Same multimodal discipline as the image
 stages: binary payloads stay Arrow-native (the decoded PCM travels as an

@@ -13,13 +13,10 @@ pandas object dtype.
 - ``ImageFeatures``: small numeric feature vector per image (mean/std per
   channel, edge energy, phash) — the feature-extract stage shape for a
   training-data pipeline.
-- ``DecodeAudio`` / ``SampleVideoFrames``: generic-codec STUBS for
-  formats with no decoder in this environment (mp3/opus/h264...).  The
-  Ray-side plumbing (schema contract, actor signature, batch layout,
-  metadata passthrough) is real and tested; the decode kernel raises
-  ``NotImplementedError`` unless ``fake_decode=True`` supplies the
-  deterministic fake used in tests.  WAV/PCM16 audio has a REAL path:
-  ``stages/audio.DecodeWav`` over ``functions/audiocodec``.
+
+Audio and video have their own stages: ``stages/audio`` (WAV/PCM16 over
+``functions/audiocodec``) and ``stages/video`` (MPNG over
+``functions/videocontainer``).
 """
 
 from __future__ import annotations
@@ -169,74 +166,6 @@ class ValidateImages:
                 .append_column("decode_ok", pa.array(d_ok, pa.bool_()))
                 .append_column("pixels_ok", pa.array(p_ok, pa.bool_()))
                 .append_column("caption_ok", pa.array(c_ok, pa.bool_())))
-
-
-class DecodeAudio:
-    """STUB audio decode stage (no audio codec in this environment).
-
-    Contract: input columns (bytes: binary, sample_rate: int32,
-    codec: string); output appends ``samples: list<float>`` and
-    ``n_samples: int64``.  With ``fake_decode=True`` the stage emits a
-    deterministic sine baked from the payload hash — the plumbing path
-    used by tests; otherwise it raises NotImplementedError."""
-
-    def __init__(self, fake_decode: bool = False):
-        self.fake_decode = fake_decode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake_decode:
-            raise NotImplementedError(
-                "no audio codec available in this environment; "
-                "construct DecodeAudio(fake_decode=True) for the "
-                "deterministic test stub or plug a real codec here"
-            )
-        blobs = batch["bytes"].to_pylist()
-        rates = batch["sample_rate"].to_pylist()
-        out = []
-        for blob, rate in zip(blobs, rates):
-            seed = int.from_bytes(blob[:8].ljust(8, b"\0"), "big") % (2**31 - 1)
-            t = np.arange(min(rate, 1024)) / max(rate, 1)
-            out.append(np.sin(2 * np.pi * (220 + seed % 440) * t).astype(np.float32).tolist())
-        return (batch.append_column("samples", pa.array(out, pa.list_(pa.float32())))
-                .append_column("n_samples", pa.array([len(s) for s in out], pa.int64())))
-
-
-class SampleVideoFrames:
-    """STUB video frame-sampling stage (no video codec in this env).
-
-    Contract: input (bytes: binary, n_frames: int32, fps: float64);
-    output explodes one row per sampled frame with ``frame_idx: int32``
-    and ``frame: binary`` (encoded like an image payload).  Deterministic
-    stride sampling; fake decode synthesizes frames from the payload hash.
-    """
-
-    def __init__(self, every_n: int = 10, fake_decode: bool = False):
-        self.every_n = every_n
-        self.fake_decode = fake_decode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.fake_decode:
-            raise NotImplementedError(
-                "no video codec available; use fake_decode=True for the "
-                "deterministic test stub or plug a real codec here"
-            )
-        ids = batch["video_id"].to_pylist()
-        blobs = batch["bytes"].to_pylist()
-        counts = batch["n_frames"].to_pylist()
-        o_id, o_idx, o_frame = [], [], []
-        for vid, blob, n in zip(ids, blobs, counts):
-            seed = int.from_bytes(blob[:8].ljust(8, b"\0"), "big")
-            for idx in range(0, int(n), self.every_n):
-                rng = np.random.RandomState((seed + idx) % (2**31 - 1))
-                px = rng.randint(0, 256, size=(8, 8, 3), dtype=np.uint8)
-                o_id.append(vid)
-                o_idx.append(idx)
-                o_frame.append(encode(px, "png"))
-        return pa.table({
-            "video_id": pa.array(o_id, pa.string()),
-            "frame_idx": pa.array(o_idx, pa.int32()),
-            "frame": pa.array(o_frame, pa.binary()),
-        })
 
 
 DEFAULT_ASPECT_PALETTE = (

@@ -1,8 +1,7 @@
 """Video batch stages over MPNG payload columns.
 
-Real counterpart of the ``stages/images.SampleVideoFrames`` stub for the
-container this environment CAN decode (MPNG = length-prefixed real PNG
-frames, ``functions/videocontainer``).  The multimodal discipline is the
+Stages for the container this environment CAN decode (MPNG =
+length-prefixed real PNG frames, ``functions/videocontainer``).  The multimodal discipline is the
 same as the image/audio stages: payloads stay binary, per-frame kernels
 are numpy, malformed payloads flag instead of failing the batch.
 

@@ -94,6 +94,16 @@ def test_engine_matches_oracle_bfs(ray_session, store, inline_threshold):
     config = _config(store, inline_wave_threshold=inline_threshold)
     res = _run_engine(store, config)
     _assert_match(res, crawl_oracle(store, config))
+    # every wave records one span per stage; stage_sec keeps its three
+    # buckets over them (the frontier append is in none)
+    for m in res.metrics:
+        sp = m["spans"]
+        assert list(sp) == ["slice", "fetch_validate", "resolve", "order",
+                            "sink", "links", "append", "metric"]
+        assert m["stage_sec"] == {
+            "fetch_validate": round(sp["fetch_validate"], 3),
+            "content_gate": round(sp["resolve"] + sp["order"], 3),
+            "links_gate": round(sp["sink"] + sp["links"], 3)}
 
 
 def test_replica_engines_on_different_stores_inline(ray_session, store):
@@ -202,6 +212,9 @@ def test_engine_matches_oracle_distributed_resolve(ray_session, store):
                          driver_fp_threshold=0, content_probe_shards=shards)
         res = _run_engine(store, config)
         _assert_match(res, crawl_oracle(store, config))
+        # the driver link route needs the driver resolve: links run the
+        # groupby(host) gate too
+        assert {m["link_route"]["route"] for m in res.metrics} == {"distributed"}
 
 
 def test_engine_matches_oracle_distributed_resolve_budgeted(ray_session, store):
@@ -236,18 +249,40 @@ def test_checkpoint_resume_distributed_resolve(ray_session, store, tmp_path):
 
 
 def test_engine_matches_oracle_speculative_fetch(ray_session, store, inline_threshold):
-    """Wave pipelining (speculative next-wave fetch) must not change any
-    decision: fetch is pure, probes/gates still run in the wave proper."""
-    config = _config(store, speculative_fetch=True, per_host_wave_budget=3,
+    """Wave pipelining (speculative next-wave fetch, on without politeness)
+    must not change any decision: fetch is pure, probes/gates still run in
+    the wave proper.  A budgeted crawl leaves a backlog, so speculation
+    serves rows."""
+    config = _config(store, per_host_wave_budget=3,
                      inline_wave_threshold=inline_threshold)
     res = _run_engine(store, config)
     _assert_match(res, crawl_oracle(store, config))
+    assert sum(m["spec_rows"] for m in res.metrics) > 0
+
+
+def test_shutdown_cancels_unconsumed_speculation(ray_session, store):
+    """A crawl stopped by max_waves leaves the next wave's speculative
+    fetches outstanding; shutdown cancels them, so none is left holding a
+    CPU that the next engine on a small session needs."""
+    import ray
+
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    eng = CrawlEngine(store, _config(store, per_host_wave_budget=3, max_waves=2))
+    try:
+        eng.run()
+        refs = [ref for ref, _seqs in eng._spec]
+        assert refs
+    finally:
+        eng.shutdown()
+    _, pending = ray.wait(refs, num_returns=len(refs), timeout=0)
+    assert not pending
 
 
 def test_engine_matches_oracle_speculative_spill_priority(ray_session, store, tmp_path):
     """Speculation over the partitioned spill pool + priority queue + probe
     tier — the full 10^10-shape stack at fixture scale."""
-    config = _config(store, speculative_fetch=True, per_host_wave_budget=4,
+    config = _config(store, per_host_wave_budget=4,
                      priority_fn=_research_first, content_probe_shards=2,
                      frontier_spill_dir=str(tmp_path / "spec_pool"),
                      frontier_partitions=3, inline_wave_threshold=0)
@@ -256,10 +291,14 @@ def test_engine_matches_oracle_speculative_spill_priority(ray_session, store, tm
 
 
 def test_engine_matches_oracle_extra_link_filter(ray_session, store):
-    config = _config(store, extra_link_filter=_no_blog)
-    res = _run_engine(store, config)
-    _assert_match(res, crawl_oracle(store, config))
-    assert not any("/blog/" in u for u in res.crawl_order["url_norm"])
+    # the filter lives in this test module, which Ray workers cannot
+    # import: the distributed fetch tasks and speculative fetches (budgeted
+    # crawl) must still run it
+    for kw in ({}, {"inline_wave_threshold": 0, "per_host_wave_budget": 3}):
+        config = _config(store, extra_link_filter=_no_blog, **kw)
+        res = _run_engine(store, config)
+        _assert_match(res, crawl_oracle(store, config))
+        assert not any("/blog/" in u for u in res.crawl_order["url_norm"])
     # and without the filter, blog pages ARE crawled (the filter is load-bearing)
     base = _run_engine(store, _config(store))
     assert any("/blog/" in u for u in base.crawl_order["url_norm"])
@@ -666,6 +705,27 @@ def test_politeness_actor_path_matches_oracle(ray_session, store):
     _assert_match(res, oracle)
 
 
+def test_no_speculation_under_politeness(ray_session, store, monkeypatch,
+                                         inline_threshold):
+    """Speculative fetches would bypass the per-host pacing clocks, so a
+    crawl with politeness_delay > 0 launches none — on a budgeted crawl,
+    whose backlog speculation serves without politeness (above) — and
+    still matches the oracle."""
+    from searchengine_ray.pipelines import crawl as crawl_mod
+
+    class NoSpeculation:
+        @staticmethod
+        def remote(*args, **kwargs):
+            raise AssertionError("speculative fetch launched under politeness")
+
+    monkeypatch.setattr(crawl_mod, "_spec_fetch_validate", NoSpeculation)
+    config = _config(store, politeness_delay=0.002, per_host_wave_budget=3,
+                     inline_wave_threshold=inline_threshold, max_waves=3)
+    res = _run_engine(store, config)
+    _assert_match(res, crawl_oracle(store, config))
+    assert [m["spec_rows"] for m in res.metrics] == [0, 0, 0]
+
+
 def test_fixture_payload_invariants(store):
     """FIXTURES.md F1: decode round-trip vs originals, PSNR≥40 for lossy,
     caption + phash stability."""
@@ -810,3 +870,45 @@ def test_engines_with_different_robots_rules(ray_session, store, threshold):
     finally:
         for eng in engines:
             eng.shutdown()
+
+
+def test_config_hash_pinned():
+    """A checkpoint resumes only under its manifest's config_hash, so the
+    hash of the semantic knobs must not move when execution knobs are added
+    or deleted: checkpoints written by earlier engines keep resuming."""
+    assert CrawlConfig().config_hash() == "987a701b3aecf8dc"
+    assert CrawlConfig(seed_urls=["https://a.test/"], allowed_domains=("test",),
+                       per_host_wave_budget=8, max_pages=300
+                       ).config_hash() == "26b27fed94b78568"
+
+
+@pytest.mark.parametrize("actor", ["gate", "probe"])
+def test_state_actor_loss_fails_loudly_and_resumes(ray_session, store, tmp_path,
+                                                   actor):
+    """Losing one state actor (a gate host, or a probe shard in tier mode)
+    must fail the next wave loudly — never carry on with an empty shard,
+    which would re-admit seen URLs — and the last committed checkpoint must
+    then resume to the uninterrupted crawl."""
+    import ray
+
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    kw = {"content_probe_shards": 2} if actor == "probe" else {}
+    full = _run_engine(store, _config(store, **kw))
+    ckpt = str(tmp_path / "ckpt")
+    eng = CrawlEngine(store, _config(store, checkpoint_dir=ckpt, **kw))
+    try:
+        assert eng.run_wave() and eng.run_wave()
+        ray.kill(eng.gate_hosts[0] if actor == "gate" else eng.probe_tier[0])
+        with pytest.raises(ray.exceptions.RayActorError):
+            eng.run_wave()
+    finally:
+        eng.shutdown()
+    eng2 = CrawlEngine.resume(store, _config(store, checkpoint_dir=ckpt, **kw))
+    try:
+        res = eng2.run()
+    finally:
+        eng2.shutdown()
+    pd.testing.assert_frame_equal(full.crawl_order.reset_index(drop=True),
+                                  res.crawl_order.reset_index(drop=True))
+    assert full.url_seen == res.url_seen

@@ -1,19 +1,16 @@
 """Multimodal stage plumbing: decode/resize/feature actor-pool stages over
-the image payload table; audio/video stubs' contracts."""
+the image payload table."""
 
 import numpy as np
 import pyarrow as pa
-import pytest
 import ray.data as rd
 
 from searchengine_ray.functions.imagecodec import decode, encode
 from searchengine_ray.functions.phash import phash64
 from searchengine_ray.stages.images import (
-    DecodeAudio,
     DecodeImages,
     ImageFeatures,
     ResizeImages,
-    SampleVideoFrames,
 )
 
 
@@ -75,46 +72,6 @@ def test_feature_stage(ray_session):
                          concurrency=2).to_pandas()
     assert all(len(f) == 8 for f in out["features"])  # 3 mean + 3 std + 2 grad
     assert (out["phash_recomputed"] == out["phash"]).all()
-
-
-def test_audio_stub_contract(ray_session):
-    t = pa.table({
-        "bytes": pa.array([b"\x01" * 32, b"\x02" * 32], pa.binary()),
-        "sample_rate": pa.array([8000, 16000], pa.int32()),
-        "codec": pa.array(["opus", "mp3"]),
-    })
-    # real path: clearly-marked NotImplementedError
-    with pytest.raises(NotImplementedError):
-        DecodeAudio()(t)
-    # fake path: deterministic plumbing
-    out1 = DecodeAudio(fake_decode=True)(t)
-    out2 = DecodeAudio(fake_decode=True)(t)
-    assert out1["samples"].to_pylist() == out2["samples"].to_pylist()
-    assert out1["n_samples"].to_pylist() == [1024, 1024]
-    # through Ray Data as an actor-pool stage
-    out = rd.from_arrow(t).map_batches(
-        DecodeAudio, fn_constructor_kwargs={"fake_decode": True},
-        batch_format="pyarrow", concurrency=1).to_pandas()
-    assert len(out) == 2 and "samples" in out
-
-
-def test_video_stub_contract(ray_session):
-    t = pa.table({
-        "video_id": pa.array(["v0", "v1"]),
-        "bytes": pa.array([b"\x03" * 64, b"\x04" * 64], pa.binary()),
-        "n_frames": pa.array([25, 5], pa.int32()),
-        "fps": pa.array([25.0, 25.0], pa.float64()),
-    })
-    with pytest.raises(NotImplementedError):
-        SampleVideoFrames()(t)
-    out = rd.from_arrow(t).map_batches(
-        SampleVideoFrames, fn_constructor_kwargs={"every_n": 10, "fake_decode": True},
-        batch_format="pyarrow", concurrency=1).to_pandas()
-    # v0: frames 0,10,20 ; v1: frame 0
-    assert out[out["video_id"] == "v0"]["frame_idx"].tolist() == [0, 10, 20]
-    assert out[out["video_id"] == "v1"]["frame_idx"].tolist() == [0]
-    px = decode(out["frame"].iloc[0], "png")
-    assert px.shape == (8, 8, 3)
 
 
 def test_aspect_bucket_batches(ray_session):
