@@ -338,13 +338,24 @@ def merge_index(
         merged = joined.map_batches(rescale_join, batch_format="pandas")
 
     # --- doc map: old minus replaced, plus the delta's ------------------
+    # both sides as metadata-free Arrow blocks: one block format, so the
+    # union's schema never drifts between pandas- and Arrow-typed blocks
     docs_for_map = None
     dm_dir = os.path.join(out_dir, "doc_map")
     if url_col is not None and os.path.isdir(dm_dir):
-        old_map = (rd.read_parquet(dm_dir)
-                   .map_batches(drop_replaced, batch_format="pandas"))
-        docs_for_map = old_map.union(
-            delta_docs.select_columns([id_col, url_col]))
+        def map_rows(drop_old: bool):
+            def doc_map_rows(t: pa.Table) -> pa.Table:
+                if drop_old:
+                    t = t.filter(~np.isin(t[id_col].to_numpy(),
+                                          ray.get(ids_ref)))
+                return t.select([id_col, url_col]).replace_schema_metadata(None)
+            return doc_map_rows
+
+        docs_for_map = (
+            rd.read_parquet(dm_dir)
+            .map_batches(map_rows(True), batch_format="pyarrow")
+            .union(delta_docs.map_batches(map_rows(False),
+                                          batch_format="pyarrow")))
 
     out = target_dir or out_dir
     return write_index(merged, out, docs=docs_for_map,

@@ -14,6 +14,7 @@ Scale notes per query are in the docstrings; shared idioms:
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -484,6 +485,12 @@ ORDER BY n DESC, token LIMIT 20
 # --- 9b2. Count-Min point-frequency estimates (stages/sketches.py) ----------
 
 _CMS_SCRATCH = "/tmp/graft_scratch/cms_estimates"
+# the sketch shape the engine builds and the ε-bound the oracle gates it
+# with: est − exact ≤ ⌈_CMS_MARGIN_E·e·N/_CMS_WIDTH⌉ (written once, so the
+# two sides cannot drift apart)
+_CMS_DEPTH = 4
+_CMS_WIDTH = 2048
+_CMS_MARGIN_E = 4
 
 
 def q_token_freq_cms(sf_dir: str):
@@ -520,7 +527,7 @@ def q_token_freq_cms(sf_dir: str):
                              "cnt": df["cnt"].astype(np.int64)})
 
     toks = tc.map_batches(explode, batch_format="pandas").materialize()
-    sk = count_min_build(toks, "token", depth=4, width=2048,
+    sk = count_min_build(toks, "token", depth=_CMS_DEPTH, width=_CMS_WIDTH,
                          weight_col="cnt")
     counts = pre_aggregate(toks, ["token"], {"n": ("cnt", "sum")})
     top = global_topk(counts, ["n", "token"], [False, True], 20)
@@ -552,7 +559,8 @@ SELECT t.token, t.n AS n_exact, e.n_est
 FROM top t JOIN est e USING (token), tot
 WHERE e.n_est >= t.n
   AND e.n_est - t.n
-      <= CAST(ceil(4 * 2.718281828459045 * tot.nn / 2048) AS BIGINT)
+      <= CAST(ceil({_CMS_MARGIN_E} * {math.e!r} * tot.nn / {_CMS_WIDTH})
+              AS BIGINT)
 """
 
 

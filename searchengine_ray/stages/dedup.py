@@ -1050,8 +1050,8 @@ def snapshot_diff(
     or content changed — ``added`` (new only), ``removed`` (old only),
     ``changed`` (both, different content).  Unchanged rows are dropped.
 
-    Shuffle shape: both sides tag a side column and co-shuffle ONCE on the
-    id (``bucketed_apply``); each bucket resolves with one vectorized
+    Shuffle shape: both sides co-shuffle ONCE on the id (multi-input
+    ``bucketed_apply``); each bucket resolves with one vectorized
     merge — no driver materialization, no second pass.  This is the step
     an incremental pipeline runs between yesterday's and today's crawl to
     decide what to (re)process downstream."""
@@ -1060,33 +1060,20 @@ def snapshot_diff(
 
     from searchengine_ray.stages.relational import bucketed_apply
 
-    def tag(side: int):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                id_col: df[id_col],
-                "_text": df[text_col],
-                "_side": np.full(len(df), side, dtype=np.int8)})
-        return fn
+    cols = [id_col, text_col]
 
-    both = old.map_batches(tag(0), batch_format="pandas").union(
-        new.map_batches(tag(1), batch_format="pandas"))
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return pd.DataFrame({id_col: pd.Series([], dtype=np.int64),
-                                 "status": pd.Series([], dtype=object)})
-        side = g["_side"].to_numpy()
-        o = g[side == 0][[id_col, "_text"]]
-        n = g[side == 1][[id_col, "_text"]]
+    def per_bucket(o: pd.DataFrame, n: pd.DataFrame) -> pd.DataFrame:
         m = o.merge(n, on=id_col, how="outer", suffixes=("_o", "_n"),
                     indicator=True)
         status = np.where(
             m["_merge"].to_numpy() == "left_only", "removed",
             np.where(m["_merge"].to_numpy() == "right_only", "added",
-                     np.where(m["_text_o"].to_numpy() != m["_text_n"].to_numpy(),
+                     np.where(m[f"{text_col}_o"].to_numpy()
+                              != m[f"{text_col}_n"].to_numpy(),
                               "changed", "unchanged")))
         out = pd.DataFrame({id_col: m[id_col].astype(np.int64),
                             "status": status})
         return out[out["status"] != "unchanged"]
 
-    return bucketed_apply(both, [id_col], per_bucket)
+    return bucketed_apply([old.select_columns(cols), new.select_columns(cols)],
+                          [id_col], per_bucket)

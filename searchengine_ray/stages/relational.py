@@ -1,7 +1,31 @@
-"""Relational helpers: map-side pre-aggregation and broadcast joins.
+"""Relational helpers: one hash-bucket co-shuffle core, map-side
+pre-aggregation and broadcast joins.
 
 The scale idioms (SURVEY.md §4):
 
+- ``_co_shuffle(inputs, keys, kernel)``: the ONE hash-bucket co-shuffle.
+  ``pre_aggregate``, ``bucketed_map_groups``, ``bucketed_apply``,
+  ``hash_join``, ``hash_semi_anti_join`` and ``sessions.asof_join`` are
+  kernels over it; no other code in the package builds a hash-bucket
+  groupby.  It owns the invariants every co-shuffle relies on:
+
+  - the bucket hash (``_hash_bucket``): ``hash_pandas_object`` with
+    ``categorize=False`` combined on int64 views, so one key value lands
+    in one bucket whatever block it sits in;
+  - NUL-free string keys: Arrow→pandas string conversion merges values
+    that differ only after a NUL byte, so such keys are out of contract
+    (documented, not "handled");
+  - the zero-fill widen: a multi-input union widens every input to one
+    schema, filling the columns an input lacks with zeros for
+    fixed-width types (never nulls — an int64 column with nulls turns
+    float64 in pandas and rounds values above 2^53);
+  - the int8 ``_side`` tag, and a kernel that sees one frame per input
+    holding only that input's own columns;
+  - one block format per shuffle: pandas frames for one input (what its
+    pandas kernel reads), Arrow tables of the one widened schema for
+    several — never pandas schema metadata on an Arrow block (a dict
+    there makes ``pa.Schema`` unhashable, and Ray then skips its
+    same-schema fast path on every block concat).
 - ``pre_aggregate``: a bare ``groupby(k).aggregate(...)`` shuffles every row;
   this helper combines inside ``map_batches`` first (one row per key per
   batch) and shuffles only the partials — the reduce-side analog of the
@@ -18,6 +42,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray
 from ray.data import Dataset
 
@@ -52,8 +77,6 @@ def _hash_bucket(df: pd.DataFrame, keys: Sequence[str], nb: int):
     breaking every co-shuffle (measured: duplicate pairs survived
     dedup).  For NUL-free values both paths agree bit-for-bit, so this
     costs nothing on existing data."""
-    import numpy as np
-
     h = np.zeros(len(df), dtype=np.int64)
     for k in keys:
         hk = pd.util.hash_pandas_object(df[k], index=False,
@@ -61,6 +84,112 @@ def _hash_bucket(df: pd.DataFrame, keys: Sequence[str], nb: int):
             dtype=np.uint64).view(np.int64)
         h = h * np.int64(1000003) + hk  # wraparound combine, same bits
     return (h & np.int64((1 << 63) - 1)) % nb
+
+
+def _to_pandas(t: pa.Table) -> pd.DataFrame:
+    """An Arrow slice as the frame Ray hands a ``batch_format="pandas"``
+    UDF (plain ``to_pandas`` plus Ray's tensor-column cast)."""
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(t).to_pandas()
+
+
+def _filler(typ: pa.DataType, n: int) -> pa.Array:
+    """A never-read widen column: zeros for fixed-width types, nulls only
+    for variable-width ones (strings, lists — no pandas dtype drift)."""
+    if pa.types.is_primitive(typ):
+        return pa.Array.from_buffers(
+            typ, n, [None, pa.py_buffer(bytes((n * typ.bit_width + 7) // 8))])
+    return pa.nulls(n, typ)
+
+
+def _arrow_schema(ds: Dataset) -> pa.Schema | None:
+    """``ds``'s Arrow schema: the one Ray already knows when it is Arrow,
+    else read off one block as Arrow (pandas blocks report numpy types)."""
+    s = ds.schema(fetch_if_missing=False)
+    if s is not None and isinstance(s.base_schema, pa.Schema):
+        return s.base_schema
+    s = ds.map_batches(lambda t: t, batch_format="pyarrow").schema()
+    return s.base_schema if s is not None else None
+
+
+def _co_shuffle(inputs, keys: Sequence[str], kernel,
+                num_buckets: int | None = None) -> Dataset:
+    """Co-shuffle ``inputs`` (one Dataset or a sequence of them, all
+    carrying ``keys``) so every key lands whole in one of ``num_buckets``
+    hash buckets, and run ``kernel`` once per bucket.
+
+    One Dataset: a pandas co-shuffle — the blocks stay the pandas frames
+    the input's batches convert to (arbitrary object columns included:
+    Arrow would turn equal-shape ndarray cells into tensor columns that
+    cannot concat with an all-null block), and ``kernel`` gets the
+    bucket's frame.  Several: an Arrow co-shuffle — each input is widened
+    to the union schema (a column shared by name takes the promoted type;
+    the columns an input lacks are ``_filler``) and tagged with its int8
+    ``_side``; ``kernel`` gets one ``pa.Table`` per input holding only that
+    input's own columns, in its own order.  Either way the bucket is
+    ``_hash_bucket`` of the (widened) keys, one groupby on the bucket
+    column co-locates the rows, ``kernel`` returns a ``pd.DataFrame`` or
+    ``pa.Table``, and no shuffled block carries pandas schema metadata."""
+    import pyarrow.compute as pc
+
+    nb = num_buckets if num_buckets is not None else default_num_buckets()
+    keys = list(keys)
+
+    if isinstance(inputs, Dataset):
+        def tag(df: pd.DataFrame) -> pd.DataFrame:
+            df["_bucket"] = _hash_bucket(df, keys, nb)
+            return df
+
+        def per_bucket(g: pd.DataFrame):
+            return kernel(g.drop(columns=["_bucket"]))
+
+        fmt, both = "pandas", inputs.map_batches(tag, batch_format="pandas")
+    else:
+        own: list[list[str]] = []
+        union: dict[str, pa.DataType] = {}
+        for ds in inputs:
+            s = _arrow_schema(ds)
+            # an input with no rows at all reports no schema: its side
+            # frames are empty and hold just the keys
+            own.append(s.names if s is not None else keys)
+            for f in s or ():
+                prev = union.setdefault(f.name, f.type)
+                if prev != f.type:
+                    union[f.name] = pa.unify_schemas(
+                        [pa.schema([(f.name, prev)]), pa.schema([f])],
+                        promote_options="permissive").field(0).type
+
+        def widen(side: int):
+            def widen_side(t: pa.Table) -> pa.Table:
+                n = t.num_rows
+                cols = {}
+                for name, typ in union.items():
+                    if name not in t.column_names:
+                        cols[name] = _filler(typ, n)
+                    elif t[name].type == typ or pa.types.is_null(typ):
+                        # a null type came from an all-null first block:
+                        # keep the real type, Ray's concat promotes it
+                        cols[name] = t[name]
+                    else:
+                        cols[name] = t[name].cast(typ)
+                cols["_side"] = pa.array(np.full(n, side, dtype=np.int8))
+                cols["_bucket"] = pa.array(_hash_bucket(
+                    pa.table({k: cols[k] for k in keys}).to_pandas(),
+                    keys, nb))
+                return pa.table(cols)
+            return widen_side
+
+        def per_bucket(t: pa.Table):
+            side = t["_side"]
+            return kernel(*(t.filter(pc.equal(side, pa.scalar(i, pa.int8())))
+                            .select(cols) for i, cols in enumerate(own)))
+
+        sides = [ds.map_batches(widen(i), batch_format="pyarrow")
+                 for i, ds in enumerate(inputs)]
+        fmt, both = "pyarrow", sides[0].union(*sides[1:])
+
+    return both.groupby("_bucket").map_groups(per_bucket, batch_format=fmt)
 
 
 def pre_aggregate(
@@ -104,23 +233,12 @@ def pre_aggregate(
     merge_ops = {out: ("sum" if op in ("sum", "count") else op)
                  for out, (_, op) in specs.items()}
 
-    nb = default_num_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["_bucket"] = _hash_bucket(df, keys, nb)
-        return df
-
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(keys, as_index=False, sort=False).agg(
+        return g.groupby(keys, as_index=False, sort=False).agg(
             **{o: pd.NamedAgg(column=o, aggfunc=op) for o, op in merge_ops.items()}
         )
-        return out
 
-    return (
-        partials.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(merge, batch_format="pandas")
-    )
+    return _co_shuffle(partials, keys, merge)
 
 
 def broadcast_join(
@@ -216,14 +334,8 @@ def bucketed_map_groups(
     pandas groupby drives ``fn`` per group.  ``skip_singletons`` drops
     single-row groups before iterating (right for pair-emitting fns)."""
     keys = list(keys)
-    nb = num_buckets if num_buckets is not None else default_num_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["_bucket"] = _hash_bucket(df, keys, nb)
-        return df
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bucket"])
         if skip_singletons:
             g = g[g.duplicated(subset=keys, keep=False)]
         outs = [fn(grp) for _, grp in g.groupby(keys, sort=False)]
@@ -233,12 +345,11 @@ def bucketed_map_groups(
             return probe
         return pd.concat(outs, ignore_index=True)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("_bucket").map_groups(per_bucket, batch_format="pandas"))
+    return _co_shuffle(ds, keys, per_bucket, num_buckets)
 
 
 def bucketed_apply(
-    ds: Dataset,
+    ds,
     keys: Sequence[str],
     fn,
     num_buckets: int | None = None,
@@ -251,19 +362,16 @@ def bucketed_apply(
     This is the scale shape for per-key kernels that pandas can express as a
     single vectorized whole-frame op: unlike ``bucketed_map_groups`` there is
     no per-group Python call at all — near-unique keys (exact dedup) or 10^9
-    tiny groups (sessionize) cost one pandas kernel per bucket."""
-    keys = list(keys)
-    nb = num_buckets if num_buckets is not None else default_num_buckets()
+    tiny groups (sessionize) cost one pandas kernel per bucket.
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df["_bucket"] = _hash_bucket(df, keys, nb)
-        return df
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns=["_bucket"]))
-
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("_bucket").map_groups(per_bucket, batch_format="pandas"))
+    ``ds`` may be a sequence of Datasets sharing ``keys`` (the multi-input
+    co-shuffle): ``fn`` then gets one frame per input, each holding only
+    that input's columns — an empty frame when the bucket has no rows of
+    that input."""
+    if isinstance(ds, Dataset):
+        return _co_shuffle(ds, keys, fn, num_buckets)
+    return _co_shuffle(ds, keys, lambda *ts: fn(*map(_to_pandas, ts)),
+                       num_buckets)
 
 
 def hash_join(
@@ -275,99 +383,30 @@ def hash_join(
 ) -> Dataset:
     """Explicit partitioned hash join for two LARGE sides.
 
-    Both sides get a ``bucket = hash(key) % B`` column; the union shuffles
-    once on ``bucket`` and each group task splits its bucket by side and
-    merges with pandas — the portable pattern when neither side fits in a
-    broadcast.  ``num_buckets`` defaults to ``default_num_buckets()`` so
-    reduce parallelism scales with the cluster.  Skewed keys: raise
-    ``num_buckets`` or salt the hot key upstream.  Column name collisions
-    (other than ``on``) follow pandas suffix rules."""
-    import numpy as np
-    import pyarrow as pa
+    Both sides co-shuffle once on ``hash(key) % B`` (``_co_shuffle``) and
+    each bucket task merges its two side frames with pandas — the portable
+    pattern when neither side fits in a broadcast.  ``num_buckets``
+    defaults to ``default_num_buckets()`` so reduce parallelism scales
+    with the cluster.  Skewed keys: raise ``num_buckets`` or salt the hot
+    key upstream (or use ``skew_join``).  A right column whose name
+    collides with a left column (other than ``on``) is dropped; the output
+    is the left columns, then the right's other columns."""
+    l_names = left.schema().names
+    r_names = right.schema().names
+    r_keep = [n for n in r_names if n == on or n not in l_names]
+    if len(r_keep) < len(r_names):
+        right = right.select_columns(r_keep)
 
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pd.DataFrame:
+        # ArrowDtype conversion keeps int64 EXACT through an input's own
+        # nulls (an outer join's output fed back in) — a plain to_pandas
+        # would degrade nullable int64 to float64 and silently round
+        # values above 2^53 (64-bit hash keys!)
+        lg = lt.to_pandas(types_mapper=pd.ArrowDtype)
+        rg = rt.to_pandas(types_mapper=pd.ArrowDtype)
+        return _to_numpy_dtypes(lg.merge(rg, on=on, how=how))
 
-    # the widen step needs pyarrow types for both schemas; pandas-blocked
-    # inputs (pre_aggregate / a previous hash_join output) report numpy or
-    # `object` dtypes instead — re-block those as Arrow once, up front
-    def _ensure_arrow(ds: Dataset) -> Dataset:
-        if all(isinstance(t, pa.DataType) for t in ds.schema().types):
-            return ds
-        return ds.map_batches(lambda t: t, batch_format="pyarrow")
-
-    left = _ensure_arrow(left)
-    right = _ensure_arrow(right)
-
-    def tag(side: int):
-        def fn(b: pa.Table) -> pa.Table:
-            h = pd.util.hash_pandas_object(
-                b[on].to_pandas(), index=False, categorize=False
-            ).to_numpy(dtype=np.uint64).view(np.int64)
-            # int64 view + top-bit mask: uint64 % is a slow path on some
-            # numpy builds (see _hash_bucket)
-            b = b.append_column(
-                "_bucket",
-                pa.array((h & np.int64((1 << 63) - 1)) % num_buckets))
-            return b.append_column("_side", pa.array(np.full(b.num_rows, side, dtype=np.int8)))
-
-        return fn
-
-    lcols = [c for c in left.schema().names]
-    rcols = [c for c in right.schema().names]
-
-    def widen(side_cols, all_cols):
-        def fn(b: pa.Table) -> pa.Table:
-            import numpy as np
-
-            for name, typ in all_cols:
-                if name not in b.column_names:
-                    # filler columns are NEVER read (join_bucket selects
-                    # each side's own columns), so fill fixed-width types
-                    # with ZEROS, not nulls: Ray's union/sort machinery
-                    # converts some widened blocks through pandas, where
-                    # int64-with-nulls degrades to float64 — poisoning the
-                    # join output dtypes and, one iteration later, the
-                    # bucket HASH of an int64-vs-float64 key (measured:
-                    # iterated 1M-node pagerank silently lost 85% of its
-                    # rows per round before this)
-                    if (pa.types.is_integer(typ) or pa.types.is_floating(typ)
-                            or pa.types.is_boolean(typ)):
-                        filler = pa.array(
-                            np.zeros(b.num_rows, dtype=typ.to_pandas_dtype()))
-                        filler = filler.cast(typ)
-                    else:
-                        filler = pa.nulls(b.num_rows, typ)
-                    b = b.append_column(name, filler)
-            return b.select([n for n, _ in all_cols] + ["_bucket", "_side"])
-
-        return fn
-
-    lt = left.map_batches(tag(0), batch_format="pyarrow")
-    rt = right.map_batches(tag(1), batch_format="pyarrow")
-    l_schema = [(n, t) for n, t in zip(left.schema().names, left.schema().types)]
-    r_schema = [(n, t) for n, t in zip(right.schema().names, right.schema().types)
-                if n != on and n not in left.schema().names]
-    all_cols = l_schema + r_schema
-    lt = lt.map_batches(widen(lcols, all_cols), batch_format="pyarrow")
-    rt = rt.map_batches(widen(rcols, all_cols), batch_format="pyarrow")
-    both = lt.union(rt)
-
-    l_names = [n for n, _ in l_schema]
-    r_names = [on] + [n for n, _ in r_schema]
-
-    def join_bucket(t: pa.Table) -> pd.DataFrame:
-        # ArrowDtype conversion keeps int64 EXACT through the widened-union
-        # nulls — a plain to_pandas would degrade nullable int64 to float64
-        # and silently round values above 2^53 (64-bit hash keys!)
-        g = t.to_pandas(types_mapper=pd.ArrowDtype)
-        side = g["_side"].to_numpy()
-        lg = g[side == 0][l_names]
-        rg = g[side == 1][r_names]
-        out = lg.merge(rg, on=on, how=how)
-        return _to_numpy_dtypes(out)
-
-    return both.groupby("_bucket").map_groups(join_bucket, batch_format="pyarrow")
+    return _co_shuffle([left, right], [on], join_bucket, num_buckets)
 
 
 def hash_semi_anti_join(
@@ -393,98 +432,32 @@ def hash_semi_anti_join(
     one null in the subquery empties the whole anti result; callers whose
     oracle is NOT IN must guarantee non-null probe keys (the one in-repo
     caller filters on a non-null literal)."""
-    import numpy as np
-    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    if num_buckets is None:
-        num_buckets = default_num_buckets()
-
-    l_names = list(left.schema().names)
-
-    def bucket_of(tbl: pa.Table) -> "np.ndarray":
-        h = pd.util.hash_pandas_object(
-            tbl[on].to_pandas(), index=False, categorize=False).to_numpy(
-            dtype=np.uint64).view(np.int64)
-        return (h & np.int64((1 << 63) - 1)) % num_buckets
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        b = b.append_column("_bucket", pa.array(bucket_of(b)))
-        return b.append_column("_side", pa.array(
-            np.zeros(b.num_rows, dtype=np.int8)))
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def distinct_keys(b: pa.Table) -> pa.Table:
         # map-side distinct: only unique keys leave the task
-        t = pa.table({on: pc.unique(b[on])})
-        t = t.append_column("_bucket", pa.array(bucket_of(t)))
-        return t.append_column("_side", pa.array(
-            np.ones(t.num_rows, dtype=np.int8)))
+        return pa.table({on: pc.unique(b[on])})
 
-    lt = left.map_batches(tag_left, batch_format="pyarrow")
-    rt = right.select_columns([on]).map_batches(tag_right, batch_format="pyarrow")
+    rkeys = right.select_columns([on]).map_batches(distinct_keys,
+                                                   batch_format="pyarrow")
 
-    # widen the (single-column) right side to the left schema so union works
-    # (schema().types yields numpy dtypes for pandas-backed datasets)
-    def _pa_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(t)
-        except (TypeError, pa.ArrowNotImplementedError):
-            return pa.string()
-
-    l_schema = [(n, _pa_type(t))
-                for n, t in zip(left.schema().names, left.schema().types)]
-
-    def widen_right(b: pa.Table) -> pa.Table:
-        for name, typ in l_schema:
-            if name not in b.column_names:
-                # filler columns are NEVER read (filter_bucket drops the
-                # right rows entirely) — zero-fill fixed-width types, not
-                # nulls: the union co-shuffle converts some widened blocks
-                # through pandas, where int64-with-nulls degrades the
-                # BLOCK dtype to float64 and poisons downstream consumers
-                # (the hash_join invariant; observed as lab: double schema
-                # drift in the distributed LPA carry-forward)
-                if (pa.types.is_integer(typ) or pa.types.is_floating(typ)
-                        or pa.types.is_boolean(typ)):
-                    filler = pa.array(
-                        np.zeros(b.num_rows,
-                                 dtype=typ.to_pandas_dtype())).cast(typ)
-                else:
-                    filler = pa.nulls(b.num_rows, typ)
-                b = b.append_column(name, filler)
-        return b.select(l_names + ["_bucket", "_side"])
-
-    rt = rt.map_batches(widen_right, batch_format="pyarrow")
-    both = lt.map_batches(
-        lambda b: b.select(l_names + ["_bucket", "_side"]),
-        batch_format="pyarrow").union(rt)
-
-    def filter_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        side = t["_side"]
-        lrows = t.filter(pc.equal(side, pa.scalar(0, pa.int8())))
-        rkeys = t.filter(pc.equal(side, pa.scalar(1, pa.int8())))[on]
+    def filter_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
         # NOT EXISTS null semantics: null right keys never match; null left
         # keys match nothing (fill_null(False) → semi drops, anti keeps)
-        mask = pc.is_in(lrows[on],
-                        value_set=pc.unique(rkeys.combine_chunks().drop_null()))
+        mask = pc.is_in(lt[on],
+                        value_set=pc.unique(rt[on].combine_chunks().drop_null()))
         mask = pc.fill_null(mask, False)
         if anti:
             mask = pc.invert(mask)
-        return lrows.filter(mask).select(l_names)
+        return lt.filter(mask)
 
-    return both.groupby("_bucket").map_groups(
-        filter_bucket, batch_format="pyarrow")
+    return _co_shuffle([left, rkeys], [on], filter_bucket, num_buckets)
 
 
 def _to_numpy_dtypes(df: pd.DataFrame) -> pd.DataFrame:
     """ArrowDtype columns → the numpy-backed dtypes the rest of the engine
     uses: int without nulls → int64, int with nulls → float64 (NaN), float →
     float64, string/list/other → object."""
-    import pyarrow as pa
-
     out = {}
     for c in df.columns:
         s = df[c]

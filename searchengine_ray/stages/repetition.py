@@ -360,35 +360,22 @@ def remove_dup_spans(ds: Dataset, k: int = DEFAULT_WINDOW_K,
         return ds.map_batches(cut_map, batch_format="pandas",
                               batch_size=batch_size)
 
-    # co-shuffle route (dup tail too big to broadcast): tagged union (the
-    # snapshot_diff pattern) — docs carry text, dup rows carry positions;
-    # one all-to-all co-locates each doc with all its dup window starts
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
+    # co-shuffle route (dup tail too big to broadcast): a multi-input
+    # co-shuffle (the snapshot_diff pattern) — docs carry text, dup rows
+    # carry positions; one all-to-all co-locates each doc with all its
+    # dup window starts
+    def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "doc_id": df[id_col].astype(np.int64),
-            "_text": df[text_col].fillna("").astype(str),
-            "_pos": np.full(len(df), -1, dtype=np.int64),
-            "_side": np.zeros(len(df), dtype=np.int8)})
+            "_text": df[text_col].fillna("").astype(str)})
 
-    def tag_pos(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype(np.int64),
-            "_text": np.full(len(df), "", dtype=object),
-            "_pos": df["pos"].astype(np.int64),
-            "_side": np.ones(len(df), dtype=np.int8)})
-
-    both = ds.map_batches(tag_docs, batch_format="pandas").union(
-        dups.map_batches(tag_pos, batch_format="pandas"))
-
-    def cut_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return _cut_rows([], [], lambda d: None)
-        side = g["_side"].to_numpy()
+    def cut_bucket(docs: pd.DataFrame, pos: pd.DataFrame) -> pd.DataFrame:
         starts_by_doc = {
-            d: grp["_pos"].to_numpy()
-            for d, grp in g[side == 1].groupby("doc_id", sort=False)}
-        docs = g[side == 0]
+            d: grp["pos"].to_numpy(np.int64)
+            for d, grp in pos.groupby("doc_id", sort=False)}
         return _cut_rows(docs["doc_id"].to_numpy(), docs["_text"],
                          starts_by_doc.get)
 
-    return bucketed_apply(both, ["doc_id"], cut_bucket)
+    return bucketed_apply(
+        [ds.map_batches(doc_rows, batch_format="pandas"), dups],
+        ["doc_id"], cut_bucket)

@@ -55,54 +55,19 @@ def asof_join(
     """As-of join: for each left row, the most recent right row of the same
     key with ``right_ts <= left_ts``.
 
-    Implementation per the documented partitioning assumption: hash-bucket
-    both sides on the key, co-shuffle once, and run ``pd.merge_asof`` per
-    bucket over key-sorted frames.  Rows of one key never straddle buckets.
-    Bucket count scales with the cluster (``default_num_buckets``)."""
-    import numpy as np
-    import pyarrow as pa
+    Implementation per the documented partitioning assumption: both sides
+    co-shuffle once on the key (``relational.bucketed_apply``, multi-input
+    form — each side keeps its own dtypes: int64 stays int64 and exact),
+    and ``pd.merge_asof`` runs per bucket over ts-sorted frames.  Rows of
+    one key never straddle buckets."""
+    from searchengine_ray.stages.relational import bucketed_apply
 
-    from searchengine_ray.stages.relational import default_num_buckets
+    r_names = [n for n in right.schema().names
+               if n == key or n == right_ts or n in value_cols]
 
-    num_buckets = default_num_buckets()
-
-    def tag(side: int, cols: list[str]):
-        def fn(b: pa.Table) -> pa.Table:
-            # int64 view + top-bit mask: uint64 % is a slow path on some
-            # numpy builds (see relational._hash_bucket)
-            h = pd.util.hash_pandas_object(
-                b[key].to_pandas(), index=False, categorize=False).to_numpy(
-                dtype=np.uint64).view(np.int64)
-            b = b.append_column(
-                "_bucket",
-                pa.array((h & np.int64((1 << 63) - 1)) % num_buckets))
-            return b.append_column("_side", pa.array(np.full(b.num_rows, side, np.int8)))
-
-        return fn
-
-    lcols = left.schema().names
-    l_schema = list(zip(left.schema().names, left.schema().types))
-    r_schema = [(n, t) for n, t in zip(right.schema().names, right.schema().types)
-                if n == key or n == right_ts or n in value_cols]
-    all_cols = l_schema + [(n, t) for n, t in r_schema if n not in lcols]
-
-    def widen(b: pa.Table) -> pa.Table:
-        for name, typ in all_cols:
-            if name not in b.column_names:
-                b = b.append_column(name, pa.nulls(b.num_rows, typ))
-        return b.select([n for n, _ in all_cols] + ["_bucket", "_side"])
-
-    lt = left.map_batches(tag(0, lcols), batch_format="pyarrow").map_batches(
-        widen, batch_format="pyarrow")
-    rt = right.map_batches(tag(1, [n for n, _ in r_schema]), batch_format="pyarrow"
-                           ).map_batches(widen, batch_format="pyarrow")
-    both = lt.union(rt)
-    l_names = [n for n, _ in l_schema]
-    r_names = [n for n, _ in r_schema]
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["_side"] == 0][l_names].sort_values(left_ts, kind="stable")
-        rg = g[g["_side"] == 1][r_names].sort_values(right_ts, kind="stable")
+    def join_bucket(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        lg = lg.sort_values(left_ts, kind="stable")
+        rg = rg.sort_values(right_ts, kind="stable")
         if rg.empty:
             out = lg.copy()
             for c in value_cols:
@@ -111,7 +76,8 @@ def asof_join(
         return pd.merge_asof(lg, rg, left_on=left_ts, right_on=right_ts,
                              by=key, direction="backward", suffixes=("", "_r"))
 
-    return both.groupby("_bucket").map_groups(join_bucket, batch_format="pandas")
+    return bucketed_apply([left, right.select_columns(r_names)], [key],
+                          join_bucket)
 
 
 def tumbling_window_agg(
@@ -306,37 +272,24 @@ def windowed_pair_join(
     stream joins are impossible; the time bound is what makes the state
     finite, and here it also bounds the explode (output pairs only).
 
-    Both sides tag a side column and co-shuffle ONCE by key; each bucket
-    sorts each side by the sliding-kernel composite key (user × span +
-    rel_ts, same 2^63 overflow guard with per-user fallback) and two
+    Both sides co-shuffle ONCE by key (multi-input ``bucketed_apply``);
+    each bucket sorts each side by the sliding-kernel composite key
+    (user × span + rel_ts, same 2^63 overflow guard with per-user
+    fallback) and two
     ``np.searchsorted`` calls give every left row's matching right range
     [lo, hi) at once; pairs explode with a repeat/arange kernel — no
     per-key or per-row Python on the main path."""
     from searchengine_ray.stages.relational import bucketed_apply
 
-    def tag(side: int):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                key_col: df[key_col].to_numpy(np.int64),
-                ts_col: df[ts_col].to_numpy(np.int64),
-                id_col: df[id_col].to_numpy(np.int64),
-                "_side": np.full(len(df), side, dtype=np.int8)})
-        return fn
-
-    both = left.map_batches(tag(0), batch_format="pandas").union(
-        right.map_batches(tag(1), batch_format="pandas"))
+    cols = [key_col, ts_col, id_col]
 
     empty = pd.DataFrame({
         "left_id": pd.Series([], dtype=np.int64),
         "right_id": pd.Series([], dtype=np.int64),
         key_col: pd.Series([], dtype=np.int64)})
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            return empty.copy()
-        side = g["_side"].to_numpy()
-        lg = g[side == 0]
-        rg = g[side == 1].sort_values([key_col, ts_col], kind="mergesort")
+    def per_bucket(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        rg = rg.sort_values([key_col, ts_col], kind="mergesort")
         if not len(lg) or not len(rg):
             return empty.copy()
         # joint densify so both sides share the composite-key space;
@@ -384,7 +337,8 @@ def windowed_pair_join(
             "right_id": rg[id_col].to_numpy(np.int64)[ri],
             key_col: lg[key_col].to_numpy(np.int64)[li]})
 
-    return bucketed_apply(both, [key_col], per_bucket)
+    return bucketed_apply([left.select_columns(cols),
+                           right.select_columns(cols)], [key_col], per_bucket)
 
 
 def gap_fill_daily(events: Dataset, user_col: str = "user_id",
@@ -579,8 +533,8 @@ def interval_join(
     per covered bucket, clipped), so a fragment lives in exactly one
     bucket and a fact matches an interval in exactly the bucket holding
     its timestamp — each pair is found once, no cross-bucket dedup.  Both
-    sides co-shuffle ONCE on the bucket id (tagged union, fixed-width
-    fill — never nulls); the per-bucket kernel is a chunked vectorized
+    sides co-shuffle ONCE on the bucket id (multi-input
+    ``bucketed_apply``); the per-bucket kernel is a chunked vectorized
     containment mask.  Partitioning assumption: the number of intervals
     OVERLAPPING one bucket's span bounds the kernel's m; long intervals
     replicate to every covered bucket (fragment count ≤ num_buckets per
@@ -595,20 +549,16 @@ def interval_join(
     w = (t1 - t0) // nb + 1  # max-ts fact lands in bucket nb-1
     hi_clip = t0 + nb * w
 
-    def tag_facts(df: pd.DataFrame) -> pd.DataFrame:
+    def fact_rows(df: pd.DataFrame) -> pd.DataFrame:
         t = df[ts_col].to_numpy(np.int64)
         out = {"rb": (t - t0) // w,
-               "_side": np.full(len(df), 1, dtype=np.int8),
                fact_id_col: df[fact_id_col].to_numpy(np.int64),
-               "ts": t,
-               interval_id_col: np.full(len(df), -1, dtype=np.int64),
-               "fs": np.zeros(len(df), dtype=np.int64),
-               "fe": np.zeros(len(df), dtype=np.int64)}
+               "ts": t}
         if carry_col is not None:
             out[carry_col] = df[carry_col].to_numpy(np.float64)
         return pd.DataFrame(out)
 
-    def tag_frags(df: pd.DataFrame) -> pd.DataFrame:
+    def frag_rows(df: pd.DataFrame) -> pd.DataFrame:
         s = np.maximum(df[start_col].to_numpy(np.int64), t0)
         e = np.minimum(df[end_col].to_numpy(np.int64), hi_clip)
         iid = df[interval_id_col].to_numpy(np.int64)
@@ -621,19 +571,10 @@ def interval_join(
               - np.repeat(np.cumsum(reps) - reps, reps)
               + np.repeat(b0, reps))
         sr, er = np.repeat(s, reps), np.repeat(e, reps)
-        out = {"rb": rb,
-               "_side": np.full(tot, 0, dtype=np.int8),
-               fact_id_col: np.full(tot, -1, dtype=np.int64),
-               "ts": np.zeros(tot, dtype=np.int64),
-               interval_id_col: np.repeat(iid, reps),
-               "fs": np.maximum(sr, t0 + rb * w),
-               "fe": np.minimum(er, t0 + (rb + 1) * w)}
-        if carry_col is not None:
-            out[carry_col] = np.zeros(tot, dtype=np.float64)
-        return pd.DataFrame(out)
-
-    both = facts.map_batches(tag_facts, batch_format="pandas").union(
-        intervals.map_batches(tag_frags, batch_format="pandas"))
+        return pd.DataFrame({"rb": rb,
+                             interval_id_col: np.repeat(iid, reps),
+                             "fs": np.maximum(sr, t0 + rb * w),
+                             "fe": np.minimum(er, t0 + (rb + 1) * w)})
 
     empty_cols = {fact_id_col: pd.Series([], dtype=np.int64),
                   interval_id_col: pd.Series([], dtype=np.int64)}
@@ -641,10 +582,7 @@ def interval_join(
         empty_cols[carry_col] = pd.Series([], dtype=np.float64)
     empty = pd.DataFrame(empty_cols)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        side = g["_side"].to_numpy()
-        f = g[side == 1]
-        r = g[side == 0]
+    def per_bucket(f: pd.DataFrame, r: pd.DataFrame) -> pd.DataFrame:
         if not len(f) or not len(r):
             return empty.copy()
         t = f["ts"].to_numpy(np.int64)
@@ -666,7 +604,10 @@ def interval_join(
             outs.append(pd.DataFrame(cols))
         return pd.concat(outs, ignore_index=True) if outs else empty.copy()
 
-    return bucketed_apply(both, ["rb"], per_bucket)
+    return bucketed_apply(
+        [facts.map_batches(fact_rows, batch_format="pandas"),
+         intervals.map_batches(frag_rows, batch_format="pandas")],
+        ["rb"], per_bucket)
 
 
 def retention_cohorts(ds: Dataset, user_col: str = "user_id",

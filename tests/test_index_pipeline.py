@@ -149,6 +149,43 @@ def test_merge_index_equals_rebuild(ray_session, tmp_path):
     assert set(r["url"]) == {"u1b", "u3"}
 
 
+def test_merge_index_doc_map_one_block_format(ray_session, tmp_path):
+    """merge_index writes its doc map (old minus replaced, plus the
+    delta's) from one block format: every file holds Arrow int64 ids and
+    string urls without pandas schema metadata, and the map reads back
+    int64/object with the delta's urls."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines.index_pipeline import merge_index
+
+    base = pd.DataFrame({"doc_id": np.array([0, 1, 2], dtype=np.int64),
+                         "text": ["cat dog", "dog bird", "cat cat fish"],
+                         "url": ["u0", "u1", "u2"]})
+    delta = pd.DataFrame({"doc_id": np.array([1, 3], dtype=np.int64),
+                          "text": ["bird bird snail", "cat snail"],
+                          "url": ["u1b", "u3"]})
+    out = str(tmp_path / "idx")
+    write_index(build_postings(rd.from_pandas(base), mode="simple"), out,
+                docs=rd.from_pandas(base))
+    merge_index(out, rd.from_pandas(delta), mode="simple", url_col="url")
+
+    dm_dir = os.path.join(out, "doc_map")
+    files = [os.path.join(dm_dir, f) for f in os.listdir(dm_dir)]
+    assert files
+    want = pa.schema([("doc_id", pa.int64()), ("url", pa.string())])
+    for f in files:
+        sch = pq.read_schema(f)
+        assert sch.equals(want), sch
+        assert not sch.metadata, sch.metadata
+    dm = (pq.read_table(dm_dir).to_pandas()
+          .sort_values("doc_id").reset_index(drop=True))
+    assert dm["doc_id"].dtype == np.int64
+    assert dm["url"].dtype == object
+    assert dm["doc_id"].tolist() == [0, 1, 2, 3]
+    assert dm["url"].tolist() == ["u0", "u1b", "u2", "u3"]
+
+
 def test_merge_index_removal_via_empty_text(ray_session, tmp_path):
     """Removal contract: an empty-text delta row REPLACES a doc with zero
     postings — the doc vanishes from the index, its tokens' df drop, and

@@ -213,6 +213,34 @@ def test_item_transitions_single_event_users(ray_session):
 # --- windowed stream-stream pair join -----------------------------------------
 
 
+def test_asof_join_keeps_int64_columns(ray_session):
+    """The as-of co-shuffle hands each side its own columns: an int64 left
+    timestamp and an int64 payload above 2^53, split over several blocks,
+    come back int64 and exact (a null-filled widen turned both float64 and
+    rounded the payload)."""
+    import ray.data as rd
+
+    from searchengine_ray.stages.sessions import asof_join
+
+    n = 40
+    big = 2**53 + 1
+    lf = pd.DataFrame({"k": np.arange(n, dtype=np.int64) % 5,
+                       "ts": np.arange(n, dtype=np.int64) * 10,
+                       "lpay": np.arange(n, dtype=np.int64) * np.int64(big)})
+    rf = pd.DataFrame({"k": np.arange(5, dtype=np.int64),
+                       "rts": np.zeros(5, dtype=np.int64),
+                       "v": np.arange(5, dtype=np.int64) + 100})
+    got = asof_join(rd.from_pandas(lf).repartition(4),
+                    rd.from_pandas(rf).repartition(2),
+                    "k", "ts", "rts", ["v"]).to_pandas()
+    assert got["ts"].dtype == np.int64
+    assert got["lpay"].dtype == np.int64
+    got = got.sort_values("ts").reset_index(drop=True)
+    assert got["ts"].tolist() == [i * 10 for i in range(n)]
+    assert got["lpay"].tolist() == [i * big for i in range(n)]
+    assert got["v"].tolist() == [100 + i % 5 for i in range(n)]
+
+
 def test_windowed_pair_join_brute(ray_session):
     import ray.data as rd
 
