@@ -1178,12 +1178,18 @@ class CrawlEngine:
         """Content gate on the driver: the wave's fingerprints + store
         flags in processing order → live rows → exact sequential resolve
         (``resolve_wave``).  Inline waves probe the store here; distributed
-        ones carry the flags their fetch tasks computed.  Arrow end to end:
-        pandas conversion of the list<int64> shingle column costs ~10× the
-        gate loop itself at 10^5-row waves.  Returns (decision by seq,
-        fetched seqs, their statuses, the accepted pages' (seq, cands) —
-        pulled in the same projection when the links gate on the driver,
-        else None)."""
+        ones carry the flags their fetch tasks computed and are read from
+        the materialized wave's own blocks (zero-copy refs, columns
+        selected here): a ``select_columns`` would plan and run a whole new
+        Ray Data job whose tasks queue behind the speculative fetches.  On
+        one node the blocks map shared memory; blocks held on other nodes
+        travel whole, payload included — bounded by
+        ``driver_fp_threshold`` pages.  Arrow end to end: pandas conversion
+        of the list<int64> shingle column costs ~10× the gate loop itself
+        at 10^5-row waves.  Returns
+        (decision by seq, fetched seqs, their statuses, the accepted pages'
+        (seq, cands) — selected in the same pass when the links gate on
+        the driver, else None)."""
         from searchengine_ray.stages.content_probe import resolve_wave
 
         cfg = self.config
@@ -1194,8 +1200,9 @@ class CrawlEngine:
             fp_tbl = _with_store_flags(validated.select(fp_cols + cand_cols),
                                        self._store_probe())
         else:
-            fp_tbl = pa.concat_tables(ray.get(validated.select_columns(
-                fp_cols + flag_cols + cand_cols).to_arrow_refs()))
+            fp_tbl = pa.concat_tables([
+                t.select(fp_cols + flag_cols + cand_cols)
+                for t in ray.get(validated.to_arrow_refs())])
         fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
             [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
         live_full = fp_tbl.filter(

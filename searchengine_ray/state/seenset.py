@@ -11,7 +11,10 @@ hash as its raw digest bytes in numpy ``S<k>`` arrays:
 - at ``flush_at`` entries the active set flushes to one SORTED immutable
   numpy segment (``np.searchsorted``-probeable, 32 B/URL);
 - segments merge when the chain exceeds ``compact_at`` (amortized
-  O(N log N), bounded probe fan-out).
+  O(N log N), bounded probe fan-out);
+- the result-time dump reads every digest as ONE sorted array
+  (``sorted_array``), which the gate host hexes a chunk at a time straight
+  into Arrow buffers — no Python object per URL.
 
 Exactness: probes compare the FULL digest (no truncation) — the cuckoo
 filter in front of this set screens "definitely new" keys probabilistically,
@@ -81,15 +84,17 @@ class SeenSet:
         for seg in self.segments:
             yield from self._seg_digests(seg)
 
-    def sorted_digests(self) -> list[bytes]:
-        """All digests in ascending byte order (byte order ≡ hex-string
-        order for lowercase hex, so dumps stay identically sorted)."""
+    def sorted_array(self) -> np.ndarray:
+        """All digests as ONE ascending ``S<k>`` array (byte order ≡
+        hex-string order for lowercase hex, so dumps stay identically
+        sorted) — no Python object per digest.  Read it through its buffer
+        (``tobytes``/``view(np.uint8)``), never ``.tolist()``: see
+        ``_seg_digests``."""
         self._flush()
         if not self.segments:
-            return []
-        merged = (np.sort(np.concatenate(self.segments))
-                  if len(self.segments) > 1 else self.segments[0])
-        return self._seg_digests(merged)
+            return np.empty(0, dtype=self._dt)
+        return (np.sort(np.concatenate(self.segments))
+                if len(self.segments) > 1 else self.segments[0])
 
     def nbytes(self) -> int:
         """Approximate resident bytes (segments exact; active set estimated

@@ -224,6 +224,33 @@ def test_engine_matches_oracle_distributed_resolve_budgeted(ray_session, store):
     _assert_match(res, crawl_oracle(store, config))
 
 
+def test_driver_resolve_reads_materialized_blocks(ray_session, store,
+                                                  monkeypatch):
+    """A distributed wave resolved on the driver reads its columns from the
+    materialized wave's blocks: no ``select_columns`` projection job — in
+    both store modes, still oracle-exact."""
+    import sys
+
+    import ray.data as rd
+
+    callers = []
+    select_columns = rd.Dataset.select_columns
+
+    def spy(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return select_columns(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "select_columns", spy)
+    for shards in (None, 2):
+        config = _config(store, inline_wave_threshold=0,
+                         content_probe_shards=shards)
+        res = _run_engine(store, config)
+        _assert_match(res, crawl_oracle(store, config))
+        assert {m["resolve_route"]["route"] for m in res.metrics} == {"driver"}
+        assert not any(m["inline"] for m in res.metrics)
+    assert "_resolve_wave_driver" not in callers, callers
+
+
 def test_checkpoint_resume_distributed_resolve(ray_session, store, tmp_path):
     """The giant-wave delta (content_delta_dir, distributed parquet write)
     must replay into a resumed engine bit-identically — resuming into
@@ -586,6 +613,29 @@ def test_conformance_fuzz(ray_session, fuzz_seed, knobs):
                              state_actor_num_cpus=0)
         res = _run_engine(fuzz_store, config)
         _assert_match(res, crawl_oracle(fuzz_store, config))
+
+
+def test_crawl_report_one_row_per_wave(ray_session, store, tmp_path):
+    """tools/crawl_report.py renders a checkpoint's metrics/wave=*.json as
+    one row per wave: routes, stage spans, decisions and driver RSS."""
+    import subprocess
+    import sys
+
+    ckpt = str(tmp_path / "ckpt_report")
+    _run_engine(store, _config(store, checkpoint_dir=ckpt, max_waves=3))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "crawl_report.py"), ckpt],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.strip().splitlines()
+    cols = header.split()
+    for c in ("wave", "fetched", "inline", "resolve_route", "link_route",
+              "slice_s", "fetch_validate_s", "resolve_s", "links_s",
+              "spec_rows", "page_accept", "link_accept", "driver_rss_mb"):
+        assert c in cols, (c, cols)
+    assert [r.split()[0] for r in rows] == ["0", "1", "2"]
+    assert all(len(r.split()) == len(cols) for r in rows)
 
 
 def test_resume_survives_torn_wave(ray_session, store, tmp_path):

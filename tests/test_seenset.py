@@ -1,7 +1,13 @@
 """SeenSet (LSM digest set) — exactness vs a plain Python set under heavy
-flush/compact churn, plus the sorted-dump contract the gate spill relies on."""
+flush/compact churn, plus the sorted-dump contract the gate spill relies on:
+the gate host's dump file, byte for byte, and a gate host that never loads
+pandas."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 
@@ -39,7 +45,9 @@ def test_seenset_sorted_digests_and_hex_order():
     digests = {_digest(i) for i in range(300)}
     for d in digests:
         s.add(d)
-    out = s.sorted_digests()
+    arr = s.sorted_array()
+    raw = arr.tobytes()
+    out = [raw[i * 32:(i + 1) * 32] for i in range(arr.size)]
     assert out == sorted(digests)
     # byte order ≡ lowercase-hex string order (the dump writes hex)
     hexes = [d.hex() for d in out]
@@ -54,3 +62,64 @@ def test_seenset_nbytes_is_array_dominated():
         s.add(_digest(i))
     # ≤ ~40 B/URL amortized (32 B segment payload + bounded active set)
     assert s.nbytes() / 10_000 < 64
+
+
+def test_gate_dump_matches_sorted_hex_list_write(tmp_path, monkeypatch):
+    """``dump_seen_to`` builds its column from the SeenSet buffer, chunked;
+    the file must equal, byte for byte, a one-array write of the sorted hex
+    strings — across flushed segments, the active tail, chunk boundaries
+    and digests ending in NUL bytes (which ``.tolist()`` would strip)."""
+    import pyarrow as pa
+
+    from searchengine_ray.sources import storage
+    from searchengine_ray.state import gates
+
+    monkeypatch.setattr(gates, "DUMP_CHUNK", 3)
+    digests = ([_digest(i) for i in range(20)]
+               + [_digest(i)[:31] + b"\0" for i in range(20, 23)]
+               + [_digest(23)[:30] + b"\0\0", b"\0" * 32])
+    core = gates.HostGateCore(0, 0.85)
+    core.seen = SeenSet(flush_at=8)  # three flushed segments + active tail
+    core.restore_replay([("h.test", f"https://h.test/p{i}", d.hex())
+                         for i, d in enumerate(digests)])
+    assert core.seen.segments and core.seen.active
+    assert core.dump_seen_to(str(tmp_path / "seen")) == len(digests)
+
+    hexes = sorted(d.hex() for d in digests)
+    got = storage.read_table(str(tmp_path / "seen"))
+    assert got.schema == pa.schema([("url_hash", pa.string())])
+    assert got.schema.metadata is None
+    assert got["url_hash"].to_pylist() == hexes
+    storage.write_table_atomic(
+        pa.table({"url_hash": pa.array(hexes, pa.string())}),
+        str(tmp_path / "list"))
+    with open(storage.table_uri(str(tmp_path / "seen")), "rb") as f_new, \
+            open(storage.table_uri(str(tmp_path / "list")), "rb") as f_list:
+        assert f_new.read() == f_list.read()
+
+
+def test_gate_host_never_imports_pandas(tmp_path):
+    """A gate host's whole life (seed, process, checkpoint delta, replay,
+    result-time dump) must not load pandas: pyarrow imports it for
+    ``pa.array`` on Python lists, ~0.35 s per process."""
+    script = textwrap.dedent(f"""
+        import hashlib, sys
+        from searchengine_ray.state.gates import HostGateCore
+
+        rows = [("h.test", f"https://h.test/d{{i}}/p",
+                 hashlib.sha256(str(i).encode()).hexdigest())
+                for i in range(200)]
+        core = HostGateCore(0, 0.85, track_deltas=True)
+        core.seed(rows[:5])
+        core.process(rows)
+        delta = core.dump_delta()
+        replayed = HostGateCore(0, 0.85)
+        replayed.restore_replay(delta["rows"], delta["decisions"])
+        assert replayed.dump_seen_to({str(tmp_path / "seen")!r}) == len(core.seen)
+        print("pandas" in sys.modules)
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script], cwd=root,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False", "gate host loaded pandas"
