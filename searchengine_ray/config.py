@@ -74,29 +74,22 @@ class CrawlConfig:
     # (fetch_concurrency actors, per-host clocks) and nothing speculates.
     fetch_concurrency: int = 8
     fetch_batch_size: int = 256
-    # per-wave checkpoints (crawl_order, frontier, state deltas, metrics,
+    # per-wave checkpoints (crawl_order, frontier, content deltas, metrics,
     # manifest).  With one, the crawl order lives only on disk — the
     # driver heap stays flat across waves; without, it is held in memory.
     checkpoint_dir: str | None = None
     # link-candidate volume that picks the host-gate route.  A wave whose
-    # content resolve ran on the driver and with wave_pages ×
-    # max_links_per_page ≤ this (and every inline wave) gates its accepted
-    # pages' link candidates from the driver with one RPC per gate host —
-    # no Ray Data job, no shuffle.  Above it (or after a distributed
-    # resolve, so driver_fp_threshold=0 forces it too), the
+    # content resolve ran on the driver and whose accepted pages carry ≤
+    # this many link candidates (counted on the driver, which already holds
+    # them; and every inline wave) gates them from the driver with one RPC
+    # per gate host — no Ray Data job, no shuffle.  Above it (or after a
+    # distributed resolve, so driver_fp_threshold=0 forces it too), the
     # candidates are gated in a groupby(host) shuffle, and frontier(w+1)
     # seq assignment + pool append run DISTRIBUTED (per-parent prefix-sum
     # rank + streamed add) once the accepted links exceed it too: ~3 extra
     # all-to-all stages per wave — pure overhead for small waves, the only
     # shape that works for giant ones.  0 forces the shuffle route
     driver_link_threshold: int = 200_000
-    # upper bound on links per fetched page, used ONLY by that size guard
-    # (wave_pages × this ≤ driver_link_threshold ⇒ the wave's candidate
-    # frame provably fits on the driver).  The synthetic stores emit ≤ 64
-    # links/page; a higher-fanout corpus must raise this or big waves will
-    # pull oversized candidate frames to the driver (memory hazard, not
-    # correctness — both routes are conformance-identical)
-    max_links_per_page: int = 64
     # frontier pool storage: None = driver-side pandas (small crawls);
     # a directory = host-hash-partitioned parquet spill pool (the 10^10-URL
     # shape — the driver holds one partition at a time, never the pool)
@@ -123,7 +116,7 @@ class CrawlConfig:
                   "checkpoint_dir", "max_waves", "politeness_delay",
                   "inline_wave_threshold", "frontier_spill_dir",
                   "frontier_partitions", "driver_link_threshold",
-                  "max_links_per_page", "content_probe_shards",
+                  "content_probe_shards",
                   "driver_fp_threshold", "state_actor_num_cpus"):
             d.pop(k)
         # callables aren't hashable: record presence only (see field docs)

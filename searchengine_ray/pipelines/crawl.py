@@ -54,15 +54,17 @@ Scale notes (10^10-URL frontier):
   wave's verdicts are the store probe + the exact sequential resolve —
   on the driver (``resolve_wave``) or, for giant waves, distributed
   (``_resolve_wave_distributed``); wave size alone picks the route.
-- the host gate has two routes, chosen by size: a wave whose candidates
-  are bounded by ``driver_link_threshold`` (wave pages ×
-  ``max_links_per_page``) flattens its accepted pages' cands on the driver;
-  a giant wave gates them in a groupby(host) shuffle and may append to the
+- the host gate has two routes, chosen by size: a wave resolved on the
+  driver whose accepted pages carry at most ``driver_link_threshold`` link
+  candidates (counted, not estimated) flattens them on the driver; a
+  giant wave gates them in a groupby(host) shuffle and may append to the
   frontier distributed.
 - host-gate shards scale horizontally: URL similarity is 0 across hosts
   (link_similarity.py:106-112), so per-host state never crosses shards.
-  A shard is logical (the checkpoint unit); ``_gate_host_count`` places
-  the shards on gate-host processes.
+  A shard is logical; ``_gate_host_count`` places the shards on gate-host
+  processes.  The checkpoint holds no gate state: every admitted URL is in
+  the crawl order or the frontier snapshot, and resume replays them
+  (``CrawlEngine._restore``).
 - skew: the wave slice caps ``per_host_wave_budget`` URLs per host per wave,
   so a 58%-of-corpus host (BASELINE.md) cannot dominate a wave; fetch actors
   additionally pace per host (token interval = politeness_delay).
@@ -103,14 +105,22 @@ from searchengine_ray.utils.urls import is_valid, join_url, normalize, urldefrag
 
 _EMPTY = b""
 
-# checkpoint layout version: 2 = per-wave incremental deltas (hostgate admit
-# deltas + content-fp deltas, replayed in order on resume); 1 was the
-# round-1 full-dump layout, which this engine can no longer read
-_CHECKPOINT_FORMAT = 2
+# checkpoint layout version: 3 = per-wave crawl order + frontier snapshot +
+# content-fp deltas; resume rebuilds the host gates from the order and the
+# frontier.  2 also wrote per-wave host-gate admit deltas (still resumable:
+# its order and frontier are the same, the deltas are read only for their
+# decision counters); 1 was the round-1 full-dump layout, refused
+_CHECKPOINT_FORMAT = 3
 
 
 def _host_shard(host: str, num_shards: int) -> int:
     return zlib.crc32(host.encode("utf-8")) % num_shards
+
+
+def _url_host(url_norm: str) -> str:
+    """The host a URL is gated under: the netloc, "" for a seed without
+    one (links always carry one)."""
+    return url_norm.split("/")[2] if "//" in url_norm else ""
 
 
 def _gate_host_count(cluster_cpus: float, num_shards: int) -> int:
@@ -550,11 +560,20 @@ def _route_record(driver: bool, size: int, knob: str, threshold: int) -> dict:
 
 
 class _WavePlan(NamedTuple):
-    """A wave's routes, picked once from its size (``_plan_wave``)."""
+    """A wave's fetch and resolve routes, picked once from its size
+    (``_plan_wave``)."""
     inline: bool  # fetch, probe and gates on the driver
     driver_resolve: bool  # resolve_wave on the driver, else distributed
-    driver_links: bool  # host gate from the driver, else groupby(host)
-    routes: dict  # the metric's resolve_route / link_route records
+    resolve_route: dict  # the metric's resolve_route record
+
+
+def _gather(idx: list[list[int]], replies: list, n: int) -> list:
+    """Per-call reply lists → one reply per batch, in batch order."""
+    out = [None] * n
+    for ii, reply in zip(idx, replies):
+        for i, r in zip(ii, reply):
+            out[i] = r
+    return out
 
 
 def _lap(spans: dict, stage: str, t: float) -> float:
@@ -753,8 +772,7 @@ class CrawlEngine:
         self.gate_hosts = [
             _cls(HostGateShard, 0.5, scheduling_strategy="SPREAD").remote(
                 list(range(h, n_shards, n_hosts)),
-                config.url_similarity_threshold,
-                track_deltas=config.checkpoint_dir is not None)
+                config.url_similarity_threshold)
             for h in range(n_hosts)
         ]
         # content store of record: the sharded probe tier (O(corpus/N) per
@@ -789,8 +807,12 @@ class CrawlEngine:
         self._init_store_fp()
         if _restore is None:
             self._seed()
-        else:
+            return
+        try:
             self._restore(_restore)
+        except BaseException:
+            self.shutdown()  # a refused checkpoint leaves no actors behind
+            raise
 
     # ------------------------------------------------------------------ init
     def _seed(self) -> None:
@@ -799,8 +821,7 @@ class CrawlEngine:
         seeds = []
         for u in self.config.seed_urls:
             nu = normalize(urldefrag_str(u))
-            host = nu.split("/")[2] if "//" in nu else ""
-            seeds.append((host, nu, get_urlhash(nu)))
+            seeds.append((_url_host(nu), nu, get_urlhash(nu)))
         # one RPC per gate host; a host runs its batches in seed order
         flags = self._gate_rpc("seed", [
             (_host_shard(row[0], self.config.num_gate_shards), [row])
@@ -896,20 +917,24 @@ class CrawlEngine:
         return probe
 
     # ------------------------------------------------------- gate RPCs --
-    def _gate_rpc(self, method: str, batches: list) -> list:
-        """Run ``batches`` [(logical shard, payload)] through gate-host
-        ``method`` — ONE RPC per gate host, the hosts in parallel, each
-        host's batches in list order; returns the replies in list order."""
+    def _gate_submit(self, method: str, batches: list):
+        """Send ``batches`` [(logical shard, payload)] to gate-host
+        ``method`` without waiting — ONE call per gate host that has
+        batches, each host's batches in list order.  Returns (the batch
+        indexes per call, the call refs)."""
         n = len(self.gate_hosts)
-        idx = [[i for i, (s, _) in enumerate(batches) if s % n == h]
-               for h in range(n)]
-        replies = ray.get([getattr(g, method).remote([batches[i] for i in ii])
-                           for g, ii in zip(self.gate_hosts, idx)])
-        out = [None] * len(batches)
-        for ii, reply in zip(idx, replies):
-            for i, r in zip(ii, reply):
-                out[i] = r
-        return out
+        by_host: dict[int, list[int]] = {}
+        for i, (s, _) in enumerate(batches):
+            by_host.setdefault(s % n, []).append(i)
+        refs = [getattr(self.gate_hosts[h], method).remote(
+            [batches[i] for i in ii]) for h, ii in by_host.items()]
+        return list(by_host.values()), refs
+
+    def _gate_rpc(self, method: str, batches: list) -> list:
+        """``_gate_submit`` and wait: the hosts run in parallel; returns the
+        replies in list order."""
+        idx, refs = self._gate_submit(method, batches)
+        return _gather(idx, ray.get(refs), len(batches))
 
     def _gate_all(self, method: str, payloads=None) -> list:
         """``method`` on every logical shard; replies in shard order."""
@@ -969,7 +994,7 @@ class CrawlEngine:
 
         if plan.driver_resolve:
             decision, fp_seqs, fp_status, acc_cands = self._resolve_wave_driver(
-                validated, rank_map, plan)
+                validated, rank_map, plan.inline)
         else:
             decision, fp_seqs, fp_status = self._resolve_wave_distributed(
                 validated, rank_map)
@@ -984,14 +1009,14 @@ class CrawlEngine:
         keep_accepted = _keep_seqs(s for s, d in decision.items() if d == "accept")
         self._sink_pages(validated, keep_accepted, plan)
         t = _lap(spans, "sink", t)
-        gate_res, gated, totals = self._gate_links(
+        gate_res, gated, totals, link_route = self._gate_links(
             validated, acc_cands, keep_accepted, rank_map, plan)
         t = _lap(spans, "links", t)
         self._append_frontier(gate_res, gated)
         t = _lap(spans, "append", t)
 
         metric = self._wave_metric(order_df, len(fp_seqs), t - t0, spans, plan,
-                                   totals, n_spec)
+                                   link_route, totals, n_spec)
         self.metrics.append(metric)
         t = _lap(spans, "metric", t)
         if cfg.checkpoint_dir:
@@ -1016,30 +1041,19 @@ class CrawlEngine:
         return self.pool.slice_wave(self.config.per_host_wave_budget, cap)
 
     def _plan_wave(self, n_pages: int) -> _WavePlan:
-        """The wave's routes, picked once from its size: waves of at most
-        ``inline_wave_threshold`` pages run inline on the driver (same
-        kernels, ~10× lower per-wave overhead); the content resolve runs on
-        the driver up to ``driver_fp_threshold`` pages; the links are gated
-        from the driver when the resolve ran there and the candidate bound
-        (pages × ``max_links_per_page``) is within
-        ``driver_link_threshold``."""
+        """The wave's fetch and resolve routes, picked once from its size:
+        waves of at most ``inline_wave_threshold`` pages run inline on the
+        driver (same kernels, ~10× lower per-wave overhead); the content
+        resolve runs on the driver up to ``driver_fp_threshold`` pages.
+        The link route is picked later, on the accepted pages' candidate
+        count (``_gate_links``)."""
         cfg = self.config
-        n_cand_bound = n_pages * cfg.max_links_per_page
         if n_pages <= cfg.inline_wave_threshold:
-            rec = _route_record(True, n_pages, "inline_wave_threshold",
-                                cfg.inline_wave_threshold)
-            return _WavePlan(True, True, True,
-                             {"resolve_route": rec, "link_route": dict(rec)})
+            return _WavePlan(True, True, _route_record(
+                True, n_pages, "inline_wave_threshold", cfg.inline_wave_threshold))
         driver_resolve = n_pages <= cfg.driver_fp_threshold
-        driver_links = (driver_resolve
-                        and n_cand_bound <= cfg.driver_link_threshold)
-        resolve = _route_record(driver_resolve, n_pages, "driver_fp_threshold",
-                                cfg.driver_fp_threshold)
-        link = (_route_record(driver_links, n_cand_bound,
-                              "driver_link_threshold", cfg.driver_link_threshold)
-                if driver_resolve else dict(resolve))
-        return _WavePlan(False, driver_resolve, driver_links,
-                         {"resolve_route": resolve, "link_route": link})
+        return _WavePlan(False, driver_resolve, _route_record(
+            driver_resolve, n_pages, "driver_fp_threshold", cfg.driver_fp_threshold))
 
     # ------------------------------------------------------ fetch_validate --
     def _fetch_validate_inline(self, wave_df: pd.DataFrame):
@@ -1174,7 +1188,7 @@ class CrawlEngine:
 
     # ------------------------------------------------------------ resolve --
     def _resolve_wave_driver(self, validated, rank_map: dict[int, int],
-                             plan: _WavePlan):
+                             inline: bool):
         """Content gate on the driver: the wave's fingerprints + store
         flags in processing order → live rows → exact sequential resolve
         (``resolve_wave``).  Inline waves probe the store here; distributed
@@ -1188,20 +1202,18 @@ class CrawlEngine:
         of the list<int64> shingle column costs ~10× the gate loop itself
         at 10^5-row waves.  Returns
         (decision by seq, fetched seqs, their statuses, the accepted pages'
-        (seq, cands) — selected in the same pass when the links gate on
-        the driver, else None)."""
+        (seq, cands), selected in the same pass)."""
         from searchengine_ray.stages.content_probe import resolve_wave
 
         cfg = self.config
-        fp_cols = ["seq", "status", "integrity_ok", "shingles", "phash"]
+        fp_cols = ["seq", "status", "integrity_ok", "shingles", "phash", "cands"]
         flag_cols = ["store_text_dup", "store_image_dup"]
-        cand_cols = ["cands"] if plan.driver_links else []
-        if plan.inline:
-            fp_tbl = _with_store_flags(validated.select(fp_cols + cand_cols),
+        if inline:
+            fp_tbl = _with_store_flags(validated.select(fp_cols),
                                        self._store_probe())
         else:
             fp_tbl = pa.concat_tables([
-                t.select(fp_cols + flag_cols + cand_cols)
+                t.select(fp_cols + flag_cols)
                 for t in ray.get(validated.to_arrow_refs())])
         fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
             [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
@@ -1215,9 +1227,8 @@ class CrawlEngine:
             cfg.content_max_similarity, cfg.phash_max_hamming,
         )
         self._append_store_fp(live_tbl, gate_out)
-        acc_cands = (live_full.filter(pa.array(
+        acc_cands = live_full.filter(pa.array(
             [d == "accept" for d in gate_out], pa.bool_())).select(["seq", "cands"])
-            if plan.driver_links else None)
         return (dict(zip(live_tbl["seq"].to_pylist(), gate_out)),
                 fp_tbl["seq"].to_pylist(), fp_tbl["status"].to_pylist(), acc_cands)
 
@@ -1257,17 +1268,28 @@ class CrawlEngine:
     def _gate_links(self, validated, acc_cands, keep_accepted,
                     rank_map: dict[int, int], plan: _WavePlan):
         """Host gate over the ACCEPTED pages' link candidates (explode +
-        robots already ran in the fetch map).  No batch-local dedup may run
-        before the accepted-page filter: occurrence counts and first
-        occurrences would count content-rejected parents.  Returns (gate
-        frame, or None when the accepted links stay distributed; the gated
-        dataset of a giant wave, else None; ``_gate_totals``)."""
-        if plan.driver_links:
+        robots already ran in the fetch map).  Inline waves gate from the
+        driver; a driver-resolved wave does too when its accepted pages'
+        candidate count is within ``driver_link_threshold`` (0 forces the
+        shuffle), and otherwise — or after a distributed resolve — the
+        candidates are gated in a groupby(host) shuffle.  No batch-local
+        dedup may run before the accepted-page filter: occurrence counts
+        and first occurrences would count content-rejected parents.
+        Returns (gate frame, or None when the accepted links stay
+        distributed; the gated dataset of a giant wave, else None;
+        ``_gate_totals``; the link route record)."""
+        cfg = self.config
+        route = dict(plan.resolve_route)
+        if not plan.inline and acc_cands is not None:
+            n_cand = pc.sum(pc.list_value_length(acc_cands["cands"])).as_py() or 0
+            thr = cfg.driver_link_threshold
+            route = _route_record(0 < thr and n_cand <= thr, n_cand,
+                                  "driver_link_threshold", thr)
+        if route["route"] == "driver":
             links = _flatten_candidates(acc_cands, rank_map)
             gate_res = (self._host_gate_inline(links) if len(links)
                         else _empty_gate_frame())
-            return gate_res, None, _gate_totals(gate_res)
-        cfg = self.config
+            return gate_res, None, _gate_totals(gate_res), route
         rank_ref = ray.put(rank_map)
         gate_hosts = self.gate_hosts
         nshards = cfg.num_gate_shards
@@ -1308,7 +1330,7 @@ class CrawlEngine:
             gate_res = gated.to_pandas()
             if gate_res.empty:
                 gate_res = _empty_gate_frame()
-        return gate_res, gated, totals
+        return gate_res, gated, totals, route
 
     # ------------------------------------------------------------- append --
     def _append_frontier(self, gate_res, gated) -> None:
@@ -1336,17 +1358,19 @@ class CrawlEngine:
 
     # ------------------------------------------------------------- metric --
     def _wave_metric(self, order_df: pd.DataFrame, n_fetched: int, wall: float,
-                     spans: dict, plan: _WavePlan, totals: dict,
-                     n_spec: int) -> dict:
+                     spans: dict, plan: _WavePlan, link_route: dict,
+                     totals: dict, n_spec: int) -> dict:
         from collections import Counter
 
         link_dec = _link_decision_counts(totals)
         n_cand = totals["cand"]
         n_link_dups = int(link_dec.get("dup", 0) + link_dec.get("trap", 0))
-        # per-partition (gate-shard) lineage: seen-set size per shard +
-        # this wave's per-host fetch counts (north-star: per-partition
-        # throughput/dedup-rate metrics)
-        shard_seen = self._gate_all("seen_counts")
+        # per-partition (gate-shard) lineage: seen-set size and cumulative
+        # decision counters per shard + this wave's per-host fetch counts
+        # (north-star: per-partition throughput/dedup-rate metrics); resume
+        # checks its rebuilt seen sets against the counts and restores the
+        # counters from them
+        shards = self.gate_memory_stats()
         per_host = order_df["url_norm"].map(
             lambda u: u.split("/")[2]).value_counts().to_dict()
         return {
@@ -1366,12 +1390,14 @@ class CrawlEngine:
             "spans": spans,
             "spec_rows": int(n_spec),
             "inline": plan.inline,
-            **plan.routes,
+            "resolve_route": plan.resolve_route,
+            "link_route": link_route,
             "page_decisions": dict(Counter(order_df["decision"])),
             "link_candidates": n_cand,
             "link_decisions": dict(link_dec),
             "link_dedup_rate": round(n_link_dups / n_cand, 4) if n_cand else 0.0,
-            "shard_seen_counts": [int(s) for s in shard_seen],
+            "shard_seen_counts": [s["seen_count"] for s in shards],
+            "shard_decisions": [s["decisions"] for s in shards],
             "fetched_per_host": {h: int(c) for h, c in per_host.items()},
             "frontier_pending": int(len(self.pool)),
             "next_seq": int(self.next_seq),
@@ -1503,10 +1529,11 @@ class CrawlEngine:
 
     # ------------------------------------------------------------ checkpoint
     def _checkpoint(self, order_df: pd.DataFrame, metric: dict) -> None:
-        """Per-wave INCREMENTAL checkpoint: every artifact is O(wave), not
-        O(crawl) — host-gate admit deltas + this wave's accepted content
-        fingerprints; restore replays deltas in wave order (bit-identical,
-        verified by tests)."""
+        """Per-wave checkpoint: the wave's crawl order, the frontier
+        snapshot, this wave's accepted content fingerprints (O(wave)), the
+        wave metric and, last, the manifest that commits them.  No host-gate
+        state is written: ``_restore`` rebuilds it from the order and the
+        frontier (bit-identical, verified by tests)."""
         self._flush_admits()  # tier admits land before the wave commits
         d = self.config.checkpoint_dir
         storage.write_table_atomic(
@@ -1514,10 +1541,6 @@ class CrawlEngine:
             os.path.join(d, "crawl_order", f"wave={self.wave}"),
         )
         self.pool.snapshot_to(os.path.join(d, "frontier", f"wave={self.wave + 1}"))
-        storage.write_json_atomic(
-            {"shards": self._gate_all("dump_delta")},
-            os.path.join(d, "state", f"wave={self.wave}", "hostgate_deltas.json"),
-        )
         if self._last_delta_tbl is not None and self._last_delta_tbl.num_rows:
             storage.write_table_atomic(
                 self._last_delta_tbl,
@@ -1543,7 +1566,7 @@ class CrawlEngine:
         d = self.config.checkpoint_dir
         w = manifest["completed_wave"]
         fmt = manifest.get("format", 1)
-        if fmt != _CHECKPOINT_FORMAT:
+        if fmt not in (2, _CHECKPOINT_FORMAT):
             raise ValueError(
                 f"incompatible checkpoint format {fmt} (engine writes "
                 f"{_CHECKPOINT_FORMAT}): format-1 checkpoints carried full "
@@ -1555,26 +1578,20 @@ class CrawlEngine:
         if manifest.get("num_gate_shards", self.config.num_gate_shards) != \
                 self.config.num_gate_shards:
             raise ValueError(
-                "checkpoint has a different gate-shard count — seen-set "
-                "dumps cannot be redistributed (host→hash mapping is not "
-                "in the dump format); resume with num_gate_shards="
+                "checkpoint has a different gate-shard count — the per-shard "
+                "decision counters are shard-local and cannot be "
+                "redistributed; resume with num_gate_shards="
                 f"{manifest['num_gate_shards']}"
             )
         self.wave = w + 1
         self.next_seq = manifest["next_seq"]
         self.pages_fetched = manifest["pages_fetched"]
-        from searchengine_ray.state.frontier import load_snapshot_into
-
-        load_snapshot_into(self.pool, os.path.join(d, "frontier", f"wave={w + 1}"))
-        # replay the incremental per-wave deltas IN ORDER: host-gate admits
-        # rebuild seen/cuckoo/trap state exactly; content deltas re-form the
-        # broadcast delta chain (replica mode) or refill the probe tier
+        self._restore_gates(d, w, fmt)
+        # content deltas re-form the broadcast delta chain (replica mode) or
+        # refill the probe tier, in wave order
         admit_futs = []
         for wv in range(w + 1):
             sd = os.path.join(d, "state", f"wave={wv}")
-            host_state = storage.read_json(
-                os.path.join(sd, "hostgate_deltas.json"))
-            self._gate_all("restore_replay", host_state["shards"])
             delta_tbls = []
             if storage.exists(os.path.join(sd, "content_delta")):
                 delta_tbls.append(storage.read_table(
@@ -1595,6 +1612,57 @@ class CrawlEngine:
                     self._store_delta_refs.append(ray.put(tbl))
         if admit_futs:
             ray.get(admit_futs)
+
+    def _restore_gates(self, d: str, w: int, fmt: int) -> None:
+        """Rebuild the host gates and the frontier pool.  Each admitted URL
+        entered the pool once (``_seed``, ``_append_frontier*``) and left it
+        only into a wave's crawl order, so the admitted set is the URLs of
+        ``crawl_order/wave≤w`` plus the ``frontier/wave=w+1`` snapshot; the
+        gate state is a set, so they replay in any order.  The driver holds
+        one file at a time and waits once; the rebuilt seen counts must
+        equal the committed metric's, or a missing file would quietly
+        re-admit URLs."""
+        from searchengine_ray.state.frontier import snapshot_tables
+        from searchengine_ray.utils.urls import get_urlhash
+
+        n = self.config.num_gate_shards
+        refs = []
+
+        def replay(urls: list[str], hosts: list[str]) -> None:
+            by_shard: dict[int, list] = {}
+            for u, h in zip(urls, hosts):
+                by_shard.setdefault(_host_shard(h, n), []).append(
+                    (h, u, get_urlhash(u)))
+            refs.extend(self._gate_submit("restore_replay", [
+                (s, (rows, None)) for s, rows in by_shard.items()])[1])
+
+        for wv in range(w + 1):
+            path = os.path.join(d, "crawl_order", f"wave={wv}")
+            if storage.exists(path):  # a missing wave fails the count check
+                urls = storage.read_table(path)["url_norm"].to_pylist()
+                replay(urls, [_url_host(u) for u in urls])
+        for tbl in snapshot_tables(os.path.join(d, "frontier", f"wave={w + 1}")):
+            df = tbl.to_pandas()
+            self.pool.add(df)
+            replay(df["url_norm"].tolist(), df["host"].tolist())
+        metric = storage.read_json(os.path.join(d, "metrics", f"wave={w}.json"))
+        if fmt == 2:  # the counters rode on the last wave's gate deltas
+            decisions = [s["decisions"] for s in sorted(storage.read_json(
+                os.path.join(d, "state", f"wave={w}", "hostgate_deltas.json")
+            )["shards"], key=lambda s: s["shard_id"])]
+        else:
+            decisions = metric["shard_decisions"]
+        # calls from one caller run in submission order: this last call
+        # per shard answers with the rebuilt count
+        idx, last = self._gate_submit("restore_replay", list(enumerate(
+            ([], dec) for dec in decisions)))
+        counts = _gather(idx, ray.get(refs + last)[len(refs):], n)
+        for s, (got, want) in enumerate(zip(counts, metric["shard_seen_counts"])):
+            if got != want:
+                raise ValueError(
+                    f"checkpoint rebuild of gate shard {s} holds {got} URLs, "
+                    f"but wave {w} committed {want}: a crawl_order or "
+                    "frontier file of the checkpoint is missing or torn")
 
     @classmethod
     def resume(cls, store: SyntheticStore, config: CrawlConfig) -> "CrawlEngine":

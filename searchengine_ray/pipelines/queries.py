@@ -6980,8 +6980,9 @@ FROM events GROUP BY user_id
 
 # --- Gopher document-quality rules (Rae et al. 2021, Table A1 subset) -------
 
-_GOPHER_STOP = ("the", "and", "of", "to", "a", "in", "is", "that", "it",
-                "for")
+# the Gopher quality filter's stop list (Rae et al. 2021) — the one source for
+# the kernel and the SQL oracle
+_GOPHER_STOP = ("the", "be", "to", "of", "and", "that", "have", "with")
 
 
 def q_gopher_rules(sf_dir: str):
@@ -6989,8 +6990,8 @@ def q_gopher_rules(sf_dir: str):
     arXiv:2112.11446 Table A1 subset) — the named rule battery every
     LLM-corpus pipeline runs before training: word count in [50, 100000],
     mean word length in [3, 10], bullet-started lines <= 90%, "..."-ended
-    lines <= 30%, >= 80% of words contain a letter, >= 2 english
-    stopwords.  Emits one row per doc with each rule verdict and the AND
+    lines <= 30%, >= 80% of words contain a letter, >= 2 of the eight
+    Gopher stopwords (``_GOPHER_STOP``).  Emits one row per doc with each rule verdict and the AND
     (`keep`).
 
     Every rule is evaluated in INTEGER arithmetic on both sides
@@ -7038,7 +7039,7 @@ def q_gopher_rules(sf_dir: str):
     return ds.map_batches(rules, batch_format="pandas", batch_size=1024)
 
 
-SQL_GOPHER_RULES = r"""
+SQL_GOPHER_RULES = rf"""
 WITH base AS (
   SELECT doc_id,
          list_filter(string_split(text, ' '), w -> w <> '') AS words,
@@ -7057,7 +7058,7 @@ m AS (
          len(list_filter(words, w -> regexp_matches(w, '[a-zA-Z]')))
              AS n_alpha,
          len(list_filter(words, w -> lower(w) IN
-             ('the','and','of','to','a','in','is','that','it','for')))
+             ({", ".join(f"'{w}'" for w in _GOPHER_STOP)})))
              AS n_stop
   FROM base)
 SELECT doc_id, CAST(n AS BIGINT) AS n_words,

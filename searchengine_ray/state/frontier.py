@@ -189,9 +189,11 @@ class PartitionedFrontierPool:
             if self._counts[pid] == 0:
                 continue
             g = self._read_partition(pid)
-            # read each partition ONCE per wave: take up to 2× the per-host
-            # budget so the same pass yields both the wave slice and the
-            # next-wave prediction (speculative-fetch feed)
+            # one pass yields both the wave slice and the next-wave
+            # prediction (speculative-fetch feed): take up to 2× the
+            # per-host budget.  Only the local heads are kept, so a touched
+            # partition is read again below to remove the taken rows —
+            # that second read keeps transient memory at pool/P
             depth = (2 * per_host_budget if peek_next and per_host_budget
                      else per_host_budget)
             local = _slice_frame(g, depth, None)
@@ -242,28 +244,20 @@ class PartitionedFrontierPool:
             os.replace(tmp, dest)
 
 
-def load_snapshot_into(pool, path: str) -> None:
-    """Restore a checkpoint snapshot (any layout) into ``pool``:
-    single table (in-memory snapshots), per-partition tables, or
-    per-partition hardlinked fragment directories."""
+def snapshot_tables(path: str):
+    """Yield a checkpoint snapshot's tables one at a time: the single
+    table of an in-memory pool, or each hardlinked fragment of a spill
+    pool's per-partition directories."""
     import pyarrow.parquet as pq
 
     if storage.exists(path):  # single-table layout (in-memory snapshots)
-        pool.add(storage.read_table(path).to_pandas())
+        yield storage.read_table(path)
         return
     pid = 0
-    seen_any = False
-    while True:
-        part = os.path.join(path, f"part={pid}")
-        if storage.exists(part):  # one-table-per-partition layout
-            pool.add(storage.read_table(part).to_pandas())
-        elif os.path.isdir(part):  # fragment-directory layout
-            for f in sorted(os.listdir(part)):
-                if f.endswith(".parquet"):
-                    pool.add(pq.read_table(os.path.join(part, f)).to_pandas())
-        else:
-            break
-        seen_any = True
+    while os.path.isdir(part := os.path.join(path, f"part={pid}")):
+        for f in sorted(os.listdir(part)):
+            if f.endswith(".parquet"):
+                yield pq.read_table(os.path.join(part, f))
         pid += 1
-    if not seen_any:
+    if pid == 0:
         raise FileNotFoundError(f"no frontier snapshot at {path}")

@@ -24,10 +24,13 @@ globals (SURVEY.md §2.3):
   t+1) — provably the reference's accept/reject set, in the same order
   (SURVEY.md §7 hard part 2).
 
-Checkpointing is INCREMENTAL: ``dump_delta``/``restore_replay`` move only
-each wave's admits (O(wave)); resume is bit-identical because every decision
-is content-derived and ordered by the deterministic FIFO ``seq`` (SURVEY.md
-§7 hard part 6).  The result-time seen-set export is streaming:
+The gate keeps no checkpoint of its own.  Its state is a SET of admitted
+URLs (seen digests, trap buckets, cuckoo membership), and every admitted
+URL is in the checkpoint's crawl order or its frontier snapshot, exactly
+once; resume replays those URLs through ``restore_replay`` in any order
+(pipelines/crawl.py ``_restore``).  Resume is bit-identical because every
+decision is content-derived and ordered by the deterministic FIFO ``seq``
+(SURVEY.md §7 hard part 6).  The result-time seen-set export is streaming:
 ``dump_seen_to`` writes each shard's seen set actor-side (the driver
 handles only paths and counts), hexing the ``SeenSet``'s sorted digest
 buffer one chunk at a time into Arrow buffers.  Gate-host code builds Arrow
@@ -70,18 +73,13 @@ class HostGateCore:
     TrapIndex holds only path structure, with duplicate last-segment
     charsets collapsed)."""
 
-    def __init__(self, shard_id: int, url_similarity_threshold: float = 0.85,
-                 track_deltas: bool = False):
+    def __init__(self, shard_id: int, url_similarity_threshold: float = 0.85):
         self.shard_id = shard_id
         self.threshold = url_similarity_threshold
         self.seen = SeenSet(digest_size=32)
         self.cuckoo = CuckooFilter(capacity=1 << 20)
         self.cuckoo_degraded = False  # True → fast path off, exact set only
         self.trap_index = TrapIndex(url_similarity_threshold)
-        # incremental-checkpoint support: admits since the last dump_delta
-        # (only tracked when the engine checkpoints — unbounded otherwise)
-        self.track_deltas = track_deltas
-        self._delta: list[tuple[str, str, str]] = []
         # per-partition dedup-rate lineage (north-star metric): cumulative
         # decision counts for this shard's slice of the URL space
         self.decisions = {"accept": 0, "dup": 0, "trap": 0, "seed": 0}
@@ -98,7 +96,7 @@ class HostGateCore:
             if bytes.fromhex(url_hash) in self.seen:
                 out.append(False)
                 continue
-            self._admit(_host, url_norm, url_hash)
+            self._admit(url_norm, url_hash)
             self.decisions["seed"] += 1
             out.append(True)
         return out
@@ -123,14 +121,12 @@ class HostGateCore:
                 dec["trap"] += 1
                 out.append("trap")
                 continue
-            self._admit(host, url_norm, url_hash)
+            self._admit(url_norm, url_hash)
             dec["accept"] += 1
             out.append("accept")
         return out
 
-    def _admit(self, host: str, url_norm: str, url_hash: str) -> None:
-        if self.track_deltas:
-            self._delta.append((host, url_norm, url_hash))
+    def _admit(self, url_norm: str, url_hash: str) -> None:
         digest = bytes.fromhex(url_hash)
         self.seen.add(digest)
         if not self.cuckoo_degraded and not self.cuckoo.add(
@@ -196,26 +192,17 @@ class HostGateCore:
             [pa.chunked_array(chunks, pa.string())], names=["url_hash"]), path)
         return int(digests.size)
 
-    def dump_delta(self) -> dict:
-        """Admits since the last dump_delta — the O(wave) checkpoint unit.
-        Carries the CUMULATIVE decision counters (O(1)) so resumed crawls
-        keep the full dedup-rate lineage, not a since-resume view."""
-        d = {"shard_id": self.shard_id, "rows": [list(r) for r in self._delta],
-             "decisions": dict(self.decisions)}
-        self._delta = []
-        return d
-
-    def restore_replay(self, rows: list, decisions: dict | None = None) -> None:
-        """Replay checkpointed admit deltas IN ORDER — rebuilds seen set,
-        cuckoo and trap index exactly (same _admit path).  ``decisions``:
-        the cumulative counter snapshot from the same delta; deltas replay
-        in wave order so the last snapshot wins (old checkpoints without it
-        fall back to since-resume counters)."""
-        for host, url_norm, url_hash in rows:
-            self._admit(host, url_norm, url_hash)
+    def restore_replay(self, rows: list, decisions: dict | None = None) -> int:
+        """Admit checkpointed URLs (host, url_norm, url_hash) through the
+        same ``_admit`` path.  The seen set, trap index and cuckoo
+        membership depend only on WHICH URLs were admitted, so rows replay
+        in any order.  ``decisions``: the cumulative counter snapshot to
+        resume from.  Returns the seen count after the replay."""
+        for _host, url_norm, url_hash in rows:
+            self._admit(url_norm, url_hash)
         if decisions is not None:
             self.decisions = dict(decisions)
-        self._delta = []
+        return len(self.seen)
 
 
 @ray.remote(num_cpus=0.5)
@@ -224,9 +211,8 @@ class HostGateShard:
     shard placed on it.  Every method takes [(logical shard, payload)]
     batches and replies one entry per batch, in batch order."""
 
-    def __init__(self, shard_ids: list[int], url_similarity_threshold: float,
-                 track_deltas: bool = False):
-        self.cores = {i: HostGateCore(i, url_similarity_threshold, track_deltas)
+    def __init__(self, shard_ids: list[int], url_similarity_threshold: float):
+        self.cores = {i: HostGateCore(i, url_similarity_threshold)
                       for i in shard_ids}
 
     def seed(self, batches: list) -> list[list[bool]]:
@@ -235,18 +221,12 @@ class HostGateShard:
     def process(self, batches: list) -> list[list[str]]:
         return [self.cores[s].process(rows) for s, rows in batches]
 
-    def restore_replay(self, batches: list) -> list[None]:
-        return [self.cores[s].restore_replay(d["rows"], d.get("decisions"))
-                for s, d in batches]
+    def restore_replay(self, batches: list) -> list[int]:
+        return [self.cores[s].restore_replay(rows, decisions)
+                for s, (rows, decisions) in batches]
 
     def dump_seen_to(self, batches: list) -> list[int]:
         return [self.cores[s].dump_seen_to(path) for s, path in batches]
-
-    def dump_delta(self, batches: list) -> list[dict]:
-        return [self.cores[s].dump_delta() for s, _ in batches]
-
-    def seen_counts(self, batches: list) -> list[int]:
-        return [len(self.cores[s].seen) for s, _ in batches]
 
     def memory_stats(self, batches: list) -> list[dict]:
         return [self.cores[s].memory_stats() for s, _ in batches]

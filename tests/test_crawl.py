@@ -632,7 +632,8 @@ def test_crawl_report_one_row_per_wave(ray_session, store, tmp_path):
     cols = header.split()
     for c in ("wave", "fetched", "inline", "resolve_route", "link_route",
               "slice_s", "fetch_validate_s", "resolve_s", "links_s",
-              "spec_rows", "page_accept", "link_accept", "driver_rss_mb"):
+              "spec_rows", "page_accept", "link_accept", "gate_dedup_rate",
+              "driver_rss_mb"):
         assert c in cols, (c, cols)
     assert [r.split()[0] for r in rows] == ["0", "1", "2"]
     assert all(len(r.split()) == len(cols) for r in rows)
@@ -799,8 +800,8 @@ def test_fixture_payload_invariants(store):
 def test_resume_restores_decision_counters(ray_session, store, tmp_path):
     """The per-partition dedup-rate lineage (gate decision counters) must
     survive a checkpoint/resume: a resumed crawl's final counters equal a
-    straight-through run's — not a since-resume view (dump_delta carries
-    the cumulative snapshot; restore_replay applies the last one)."""
+    straight-through run's — not a since-resume view (each wave metric
+    records the cumulative counters; resume restores the last one)."""
     from searchengine_ray.pipelines.crawl import CrawlEngine
 
     def counters(eng):
@@ -962,3 +963,147 @@ def test_state_actor_loss_fails_loudly_and_resumes(ray_session, store, tmp_path,
     pd.testing.assert_frame_equal(full.crawl_order.reset_index(drop=True),
                                   res.crawl_order.reset_index(drop=True))
     assert full.url_seen == res.url_seen
+
+
+def _checkpoint_admits(ckpt: str, w: int) -> tuple[set, set]:
+    """(order URLs of waves 0..w, frontier/wave=w+1 snapshot URLs) of a
+    checkpoint committed at wave ``w``."""
+    from searchengine_ray.sources import storage
+    from searchengine_ray.state.frontier import snapshot_tables
+
+    order = set()
+    for wv in range(w + 1):
+        order |= set(storage.read_table(
+            os.path.join(ckpt, "crawl_order", f"wave={wv}"))["url_norm"].to_pylist())
+    pending = set()
+    for tbl in snapshot_tables(os.path.join(ckpt, "frontier", f"wave={w + 1}")):
+        pending |= set(tbl["url_norm"].to_pylist())
+    return order, pending
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"inline_wave_threshold": 0, "spill": True},
+    {"inline_wave_threshold": 0, "driver_link_threshold": 0, "spill": True},
+    {"priority_fn": _research_first, "per_host_wave_budget": 4},
+    {"max_pages": 25, "per_host_wave_budget": 3, "spill": True},
+], ids=["inline", "distributed_spill", "distributed_append_spill",
+        "priority_budget", "max_pages"])
+def test_admitted_set_is_order_plus_frontier(ray_session, store, tmp_path, kw):
+    """What resume rebuilds the host gates from: at every wave boundary the
+    gates' seen set is exactly the hashes of the committed crawl order's
+    URLs plus the frontier snapshot's, and no URL is in both."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+    from searchengine_ray.sources import storage
+    from searchengine_ray.utils.urls import get_urlhash
+
+    kw = dict(kw)
+    if kw.pop("spill", False):
+        kw.update(frontier_spill_dir=str(tmp_path / "pool"), frontier_partitions=3)
+    ckpt = str(tmp_path / "ckpt")
+    eng = CrawlEngine(store, _config(store, checkpoint_dir=ckpt, **kw))
+    try:
+        while eng.run_wave():
+            w = eng.wave - 1
+            order, pending = _checkpoint_admits(ckpt, w)
+            assert not order & pending, w
+            seen_dir = str(tmp_path / f"seen_{w}")
+            eng._gate_all("dump_seen_to", [os.path.join(seen_dir, f"shard={i}")
+                                           for i in range(4)])
+            seen = set()
+            for i in range(4):
+                seen |= set(storage.read_table(os.path.join(
+                    seen_dir, f"shard={i}"))["url_hash"].to_pylist())
+            assert seen == {get_urlhash(u) for u in order | pending}, w
+        assert w >= 2
+    finally:
+        eng.shutdown()
+
+
+def test_resume_format2_checkpoint(ray_session, store, tmp_path):
+    """A format-2 checkpoint (per-wave host-gate admit deltas, written by
+    an earlier engine on this store, stopped after wave 1, pages/ dropped)
+    resumes bit-identically: its crawl order and frontier rebuild the
+    gates, and its last delta file restores the decision counters."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+    from searchengine_ray.sources import storage
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "checkpoint_format2")
+    ckpt = str(tmp_path / "ckpt")
+    shutil.copytree(src, ckpt)
+    assert storage.read_json(os.path.join(ckpt, "manifest.json"))["format"] == 2
+
+    eng_full = CrawlEngine(store, _config(store))
+    full = eng_full.run()
+    full_dec = [s["decisions"] for s in eng_full.gate_memory_stats()]
+    eng_full.shutdown()
+
+    eng = CrawlEngine.resume(store, _config(store, checkpoint_dir=ckpt))
+    try:
+        res = eng.run()
+        res_dec = [s["decisions"] for s in eng.gate_memory_stats()]
+    finally:
+        eng.shutdown()
+    pd.testing.assert_frame_equal(full.crawl_order.reset_index(drop=True),
+                                  res.crawl_order.reset_index(drop=True))
+    assert full.url_seen == res.url_seen
+    assert res_dec == full_dec
+    assert storage.read_json(os.path.join(ckpt, "manifest.json"))["format"] == 3
+
+
+def test_resume_ignores_complete_files_beyond_manifest(ray_session, store,
+                                                       tmp_path):
+    """A crash between a wave's artifacts and its manifest leaves a
+    complete crawl_order/wave=w+1 and frontier/wave=w+2: the rebuild reads
+    only up to the manifest's wave and resume stays bit-identical."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    full = _run_engine(store, _config(store))
+    ckpt = str(tmp_path / "ckpt")
+    eng = CrawlEngine(store, _config(store, checkpoint_dir=ckpt,
+                                     frontier_spill_dir=str(tmp_path / "pool"),
+                                     frontier_partitions=3))
+    try:
+        assert eng.run_wave() and eng.run_wave()
+        shutil.copy(os.path.join(ckpt, "manifest.json"), str(tmp_path / "m.json"))
+        assert eng.run_wave()
+    finally:
+        eng.shutdown()
+    shutil.copy(str(tmp_path / "m.json"), os.path.join(ckpt, "manifest.json"))
+    for beyond in (("crawl_order", "wave=2.parquet"), ("frontier", "wave=3")):
+        assert os.path.exists(os.path.join(ckpt, *beyond)), beyond
+
+    eng2 = CrawlEngine.resume(store, _config(store, checkpoint_dir=ckpt))
+    try:
+        res = eng2.run()
+    finally:
+        eng2.shutdown()
+    pd.testing.assert_frame_equal(full.crawl_order.reset_index(drop=True),
+                                  res.crawl_order.reset_index(drop=True))
+    assert full.url_seen == res.url_seen
+
+
+@pytest.mark.parametrize("missing", ["crawl_order", "frontier_fragment"])
+def test_resume_fails_loudly_on_missing_admits(ray_session, store, tmp_path,
+                                               missing):
+    """A checkpoint missing an admitted-URL file (a crawl_order wave before
+    the manifest's, or one frontier fragment) would rebuild smaller seen
+    sets and quietly re-admit URLs: resume must refuse it instead."""
+    import glob
+
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    ckpt = str(tmp_path / "ckpt")
+    _run_engine(store, _config(store, checkpoint_dir=ckpt, max_waves=3,
+                               frontier_spill_dir=str(tmp_path / "pool"),
+                               frontier_partitions=3))
+    if missing == "crawl_order":
+        os.remove(os.path.join(ckpt, "crawl_order", "wave=1.parquet"))
+    else:
+        frags = sorted(glob.glob(os.path.join(ckpt, "frontier", "wave=3",
+                                              "part=*", "*.parquet")))
+        assert frags
+        os.remove(frags[0])
+    with pytest.raises(ValueError, match="checkpoint rebuild of gate shard"):
+        CrawlEngine.resume(store, _config(store, checkpoint_dir=ckpt))

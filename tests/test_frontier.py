@@ -8,7 +8,7 @@ import pytest
 from searchengine_ray.state.frontier import (
     InMemoryFrontierPool,
     PartitionedFrontierPool,
-    load_snapshot_into,
+    snapshot_tables,
 )
 
 
@@ -66,7 +66,8 @@ def test_snapshot_roundtrip_across_pool_types(tmp_path):
                      lambda: PartitionedFrontierPool(
                          str(tmp_path / f"r_{snap}"), num_partitions=5)):
             pool = make()
-            load_snapshot_into(pool, str(tmp_path / snap))
+            for tbl in snapshot_tables(str(tmp_path / snap)):
+                pool.add(tbl.to_pandas())
             assert len(pool) == 64
             out = pool.slice_wave(None, None).sort_values("seq").reset_index(drop=True)
             pd.testing.assert_frame_equal(

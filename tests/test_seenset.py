@@ -99,9 +99,9 @@ def test_gate_dump_matches_sorted_hex_list_write(tmp_path, monkeypatch):
 
 
 def test_gate_host_never_imports_pandas(tmp_path):
-    """A gate host's whole life (seed, process, checkpoint delta, replay,
-    result-time dump) must not load pandas: pyarrow imports it for
-    ``pa.array`` on Python lists, ~0.35 s per process."""
+    """A gate host's whole life (seed, process, resume replay, result-time
+    dump) must not load pandas: pyarrow imports it for ``pa.array`` on
+    Python lists, ~0.35 s per process."""
     script = textwrap.dedent(f"""
         import hashlib, sys
         from searchengine_ray.state.gates import HostGateCore
@@ -109,12 +109,12 @@ def test_gate_host_never_imports_pandas(tmp_path):
         rows = [("h.test", f"https://h.test/d{{i}}/p",
                  hashlib.sha256(str(i).encode()).hexdigest())
                 for i in range(200)]
-        core = HostGateCore(0, 0.85, track_deltas=True)
+        core = HostGateCore(0, 0.85)
         core.seed(rows[:5])
-        core.process(rows)
-        delta = core.dump_delta()
+        admitted = rows[:5] + [r for r, d in zip(rows, core.process(rows))
+                               if d == "accept"]
         replayed = HostGateCore(0, 0.85)
-        replayed.restore_replay(delta["rows"], delta["decisions"])
+        assert replayed.restore_replay(admitted, core.decisions) == len(core.seen)
         assert replayed.dump_seen_to({str(tmp_path / "seen")!r}) == len(core.seen)
         print("pandas" in sys.modules)
     """)

@@ -3,7 +3,9 @@
 Reads ``<checkpoint_dir>/metrics/wave=N.json`` (written by every
 checkpointed wave) and prints: the wave, pages fetched, whether it ran
 inline, the resolve and link routes, every stage span and the speculation
-hits, the page and link decision counts, and the driver's RSS.  Waves past
+hits, the page and link decision counts, the host gate's cumulative dedup
+rate over every shard's decision counters (dup + trap over accept + dup +
+trap, from ``shard_decisions``), and the driver's RSS.  Waves past
 the manifest's ``completed_wave`` (a torn wave's leftovers) are skipped.
 
 Usage: python tools/crawl_report.py <checkpoint_dir>
@@ -38,9 +40,17 @@ def wave_rows(checkpoint_dir: str) -> list[dict]:
         row["spec_rows"] = m["spec_rows"]
         row.update({f"page_{k}": v for k, v in m["page_decisions"].items()})
         row.update({f"link_{k}": v for k, v in m["link_decisions"].items()})
+        if "shard_decisions" in m:  # absent from format-2 checkpoints
+            row["gate_dedup_rate"] = _dedup_rate(m["shard_decisions"])
         row["driver_rss_mb"] = m["driver_rss_mb"]
         rows.append(row)
     return rows
+
+
+def _dedup_rate(shard_decisions: list[dict]) -> float:
+    tot = {k: sum(d[k] for d in shard_decisions) for k in ("accept", "dup", "trap")}
+    n = sum(tot.values())
+    return round((tot["dup"] + tot["trap"]) / n, 4) if n else 0.0
 
 
 def render(rows: list[dict]) -> str:
