@@ -65,6 +65,12 @@ Scale notes (10^10-URL frontier):
   processes.  The checkpoint holds no gate state: every admitted URL is in
   the crawl order or the frontier snapshot, and resume replays them
   (``CrawlEngine._restore``).
+- a gate-host process takes ~1 s to answer (spawn + ``import ray``), which
+  no engine waits for: a driver-held copy of each host gates until its
+  process answers, then the wave loop hands the copy's admits over with
+  ``restore_replay`` (``CrawlEngine._gate_call``/``_handoff``).  The
+  driver holds at most ``driver_link_threshold`` such rows; a call past
+  it, the giant-wave gate and a resume over it wait for the hosts.
 - skew: the wave slice caps ``per_host_wave_budget`` URLs per host per wave,
   so a 58%-of-corpus host (BASELINE.md) cannot dominate a wave; fetch actors
   additionally pace per host (token interval = politeness_delay).
@@ -100,7 +106,17 @@ from searchengine_ray.sources.fixtures import (
     SyntheticStore,
     procedural_page,
 )
-from searchengine_ray.state.gates import ContentProbeShard, HostGateShard
+from searchengine_ray.state.frontier import (
+    InMemoryFrontierPool,
+    PartitionedFrontierPool,
+    prune_snapshots,
+    snapshot_tables,
+)
+from searchengine_ray.state.gates import (
+    ContentProbeShard,
+    HostGateActor,
+    HostGateShard,
+)
 from searchengine_ray.utils.urls import is_valid, join_url, normalize, urldefrag_str
 
 _EMPTY = b""
@@ -576,6 +592,29 @@ def _gather(idx: list[list[int]], replies: list, n: int) -> list:
     return out
 
 
+def _gate_replies(calls: list) -> list:
+    """``_gate_submit``'s calls → their replies: the refs resolved in one
+    ``ray.get``, the replies of driver-held hosts as they are."""
+    got = iter(ray.get([c for c in calls if isinstance(c, ray.ObjectRef)]))
+    return [next(got) if isinstance(c, ray.ObjectRef) else c for c in calls]
+
+
+def _batch_rows(method: str, payload) -> list:
+    """The (host, url_norm, url_hash) rows one gate batch may admit."""
+    if method == "restore_replay":
+        return payload[0]
+    return payload if method in ("seed", "process") else []
+
+
+def _admitted_rows(method: str, rows: list, reply) -> list:
+    """The rows of one gate batch that its reply admitted."""
+    if method == "seed":
+        return [r for r, new in zip(rows, reply) if new]
+    if method == "process":
+        return [r for r, d in zip(rows, reply) if d == "accept"]
+    return rows
+
+
 def _lap(spans: dict, stage: str, t: float) -> float:
     """Record ``stage``'s span (seconds since ``t``); returns now."""
     now = time.monotonic()
@@ -738,7 +777,8 @@ def _empty_order_frame() -> pd.DataFrame:
 
 
 class CrawlEngine:
-    """Wave-loop driver.  Owns the gate actors and the frontier pool."""
+    """Wave-loop driver.  Owns the gate actors (and their driver-held
+    copies until the gate hosts answer) and the frontier pool."""
 
     def __init__(self, store: SyntheticStore, config: CrawlConfig,
                  _restore: dict | None = None):
@@ -765,16 +805,32 @@ class CrawlEngine:
             return klass.options(**opts, **({} if sac is None else
                                             {"num_cpus": sac}))
 
-        # logical gate shards, spread over few processes (_gate_host_count)
+        # logical gate shards, spread over few processes (_gate_host_count).
+        # A host process takes ~1 s to answer (spawn + import ray), so the
+        # engine does not wait for it: a driver-held copy of each host gates
+        # until the process answers, and the wave loop then hands the copy's
+        # admits over (_gate_call, _handoff)
         n_shards = config.num_gate_shards
         n_hosts = _gate_host_count(
             ray.cluster_resources().get("CPU", 1), n_shards)
+        placement = [list(range(h, n_shards, n_hosts)) for h in range(n_hosts)]
         self.gate_hosts = [
-            _cls(HostGateShard, 0.5, scheduling_strategy="SPREAD").remote(
-                list(range(h, n_shards, n_hosts)),
-                config.url_similarity_threshold)
-            for h in range(n_hosts)
+            _cls(HostGateActor, 0.5, scheduling_strategy="SPREAD").remote(
+                ids, config.url_similarity_threshold)
+            for ids in placement
         ]
+        self._gate_ready = {h: a.__ray_ready__.remote()
+                            for h, a in enumerate(self.gate_hosts)}
+        # the driver-held hosts (the cuckoo filter's 2^16 default capacity:
+        # decisions do not depend on it) and, per host and logical shard,
+        # the (host, url_norm, url_hash) rows they admitted
+        self._gate_local = {h: HostGateShard(ids, config.url_similarity_threshold,
+                                             cuckoo_capacity=1 << 16)
+                            for h, ids in enumerate(placement)}
+        self._gate_log = {h: {s: [] for s in ids}
+                          for h, ids in enumerate(placement)}
+        self._replays: list = []  # handoff restore_replay calls in flight
+        self._handoff_rows: int | None = None  # rows handed over this wave
         # content store of record: the sharded probe tier (O(corpus/N) per
         # actor), or None = the broadcast delta chain (_init_store_fp)
         self.probe_tier = [
@@ -785,9 +841,6 @@ class CrawlEngine:
         self.wave = 0
         self.next_seq = 0
         self.pages_fetched = 0
-        from searchengine_ray.state.frontier import (
-            InMemoryFrontierPool, PartitionedFrontierPool)
-
         if config.frontier_spill_dir:
             self.pool = PartitionedFrontierPool(
                 config.frontier_spill_dir, config.frontier_partitions)
@@ -920,21 +973,72 @@ class CrawlEngine:
     def _gate_submit(self, method: str, batches: list):
         """Send ``batches`` [(logical shard, payload)] to gate-host
         ``method`` without waiting — ONE call per gate host that has
-        batches, each host's batches in list order.  Returns (the batch
-        indexes per call, the call refs)."""
+        batches, each host's batches in list order.  The one dispatch point
+        of every gate call (``_gate_call``).  Returns (the batch indexes per
+        call, the calls: refs, or the replies of driver-held hosts)."""
         n = len(self.gate_hosts)
         by_host: dict[int, list[int]] = {}
         for i, (s, _) in enumerate(batches):
             by_host.setdefault(s % n, []).append(i)
-        refs = [getattr(self.gate_hosts[h], method).remote(
-            [batches[i] for i in ii]) for h, ii in by_host.items()]
-        return list(by_host.values()), refs
+        calls = [self._gate_call(h, method, [batches[i] for i in ii])
+                 for h, ii in by_host.items()]
+        return list(by_host.values()), calls
+
+    def _gate_call(self, h: int, method: str, part: list):
+        """One call of gate host ``h``: a ref to the host process's reply
+        or, while the process has not been handed the gate state yet, the
+        reply of the driver-held host, in process (plain values, no
+        ``ray.put``); the rows it admits are logged for the handoff.  A
+        call that could grow the log past ``driver_link_threshold`` (the
+        bound on gate rows the driver holds) waits for the host first."""
+        local = self._gate_local.get(h)
+        if local is not None:
+            rows = [_batch_rows(method, p) for _, p in part]
+            log = self._gate_log[h]
+            if (sum(map(len, log.values())) + sum(map(len, rows))
+                    > self.config.driver_link_threshold):
+                self._handoff(h)
+            else:
+                replies = getattr(local, method)(part)
+                for (s, _), r, reply in zip(part, rows, replies):
+                    log[s].extend(_admitted_rows(method, r, reply))
+                return replies
+        return getattr(self.gate_hosts[h], method).remote(part)
+
+    def _host_ready(self, h: int) -> bool:
+        """Whether gate host ``h``'s process answers (the handoff test hook)."""
+        return bool(ray.wait([self._gate_ready[h]], timeout=0)[0])
+
+    def _handoff(self, h: int) -> None:
+        """Hand driver-held host ``h`` over to its process: wait until the
+        process answers (a host lost before it answered raises
+        ``RayActorError`` here, one lost after it at its next call), then
+        replay the logged admits with each shard's decision counters in ONE
+        ``restore_replay``, not waited for — a caller's calls run in
+        submission order, so every later call from the driver sees the
+        replayed state."""
+        ray.get(self._gate_ready.pop(h))
+        cores = self._gate_local.pop(h).cores
+        log = self._gate_log.pop(h)
+        self._replays.append(self.gate_hosts[h].restore_replay.remote(
+            [(s, (log[s], core.decisions)) for s, core in cores.items()]))
+        self._handoff_rows = ((self._handoff_rows or 0)
+                              + sum(map(len, log.values())))
+
+    def _handoff_all(self) -> None:
+        """Hand every driver-held host over and wait for the replays: for
+        gate calls from other processes (the giant-wave gate's tasks),
+        whose order against the driver's calls nothing guarantees."""
+        for h in list(self._gate_local):
+            self._handoff(h)
+        ray.get(self._replays)
+        self._replays = []
 
     def _gate_rpc(self, method: str, batches: list) -> list:
         """``_gate_submit`` and wait: the hosts run in parallel; returns the
         replies in list order."""
-        idx, refs = self._gate_submit(method, batches)
-        return _gather(idx, ray.get(refs), len(batches))
+        idx, calls = self._gate_submit(method, batches)
+        return _gather(idx, _gate_replies(calls), len(batches))
 
     def _gate_all(self, method: str, payloads=None) -> list:
         """``method`` on every logical shard; replies in shard order."""
@@ -973,6 +1077,8 @@ class CrawlEngine:
         if len(self.pool) == 0 or (cfg.max_waves is not None
                                    and self.wave >= cfg.max_waves):
             return False
+        for h in [h for h in self._gate_local if self._host_ready(h)]:
+            self._handoff(h)
         t = time.monotonic()
         wave_df = self._wave_slice()
         if len(wave_df) == 0:
@@ -1290,6 +1396,7 @@ class CrawlEngine:
             gate_res = (self._host_gate_inline(links) if len(links)
                         else _empty_gate_frame())
             return gate_res, None, _gate_totals(gate_res), route
+        self._handoff_all()  # the gate tasks below call the host processes
         rank_ref = ray.put(rank_map)
         gate_hosts = self.gate_hosts
         nshards = cfg.num_gate_shards
@@ -1373,6 +1480,12 @@ class CrawlEngine:
         shards = self.gate_memory_stats()
         per_host = order_df["url_norm"].map(
             lambda u: u.split("/")[2]).value_counts().to_dict()
+        # where the host gate ran: on the driver while any host process has
+        # not been handed the gate state yet; the wave of a handoff also
+        # records the rows it replayed to the processes
+        handoff = ({} if self._handoff_rows is None
+                   else {"handoff_rows": self._handoff_rows})
+        self._handoff_rows = None
         return {
             "driver_rss_mb": _driver_rss_mb(),
             "driver_private_mb": _driver_private_mb(),
@@ -1398,6 +1511,8 @@ class CrawlEngine:
             "link_dedup_rate": round(n_link_dups / n_cand, 4) if n_cand else 0.0,
             "shard_seen_counts": [s["seen_count"] for s in shards],
             "shard_decisions": [s["decisions"] for s in shards],
+            "gate_at": "driver" if self._gate_local else "hosts",
+            **handoff,
             "fetched_per_host": {h: int(c) for h, c in per_host.items()},
             "frontier_pending": int(len(self.pool)),
             "next_seq": int(self.next_seq),
@@ -1531,9 +1646,10 @@ class CrawlEngine:
     def _checkpoint(self, order_df: pd.DataFrame, metric: dict) -> None:
         """Per-wave checkpoint: the wave's crawl order, the frontier
         snapshot, this wave's accepted content fingerprints (O(wave)), the
-        wave metric and, last, the manifest that commits them.  No host-gate
-        state is written: ``_restore`` rebuilds it from the order and the
-        frontier (bit-identical, verified by tests)."""
+        wave metric and, last, the manifest that commits them; then the
+        snapshots it supersedes are removed.  No host-gate state is
+        written: ``_restore`` rebuilds it from the order and the frontier
+        (bit-identical, verified by tests)."""
         self._flush_admits()  # tier admits land before the wave commits
         d = self.config.checkpoint_dir
         storage.write_table_atomic(
@@ -1561,6 +1677,10 @@ class CrawlEngine:
              "num_gate_shards": self.config.num_gate_shards},
             os.path.join(d, "manifest.json"),
         )
+        # resume at wave w reads only frontier/wave=w+1: the older snapshots
+        # are superseded once the manifest commits, except wave=w, kept so
+        # that a manifest rolled back one wave still resumes
+        prune_snapshots(os.path.join(d, "frontier"), self.wave)
 
     def _restore(self, manifest: dict) -> None:
         d = self.config.checkpoint_dir
@@ -1621,19 +1741,23 @@ class CrawlEngine:
         gate state is a set, so they replay in any order.  The driver holds
         one file at a time and waits once; the rebuilt seen counts must
         equal the committed metric's, or a missing file would quietly
-        re-admit URLs."""
-        from searchengine_ray.state.frontier import snapshot_tables
+        re-admit URLs.  The rebuild runs on the driver-held gate hosts when
+        the checkpoint holds at most ``driver_link_threshold`` admits, else
+        in the host processes, waited for first."""
         from searchengine_ray.utils.urls import get_urlhash
 
         n = self.config.num_gate_shards
-        refs = []
+        metric = storage.read_json(os.path.join(d, "metrics", f"wave={w}.json"))
+        if sum(metric["shard_seen_counts"]) > self.config.driver_link_threshold:
+            self._handoff_all()  # too many admits to rebuild on the driver
+        calls = []
 
         def replay(urls: list[str], hosts: list[str]) -> None:
             by_shard: dict[int, list] = {}
             for u, h in zip(urls, hosts):
                 by_shard.setdefault(_host_shard(h, n), []).append(
                     (h, u, get_urlhash(u)))
-            refs.extend(self._gate_submit("restore_replay", [
+            calls.extend(self._gate_submit("restore_replay", [
                 (s, (rows, None)) for s, rows in by_shard.items()])[1])
 
         for wv in range(w + 1):
@@ -1645,7 +1769,6 @@ class CrawlEngine:
             df = tbl.to_pandas()
             self.pool.add(df)
             replay(df["url_norm"].tolist(), df["host"].tolist())
-        metric = storage.read_json(os.path.join(d, "metrics", f"wave={w}.json"))
         if fmt == 2:  # the counters rode on the last wave's gate deltas
             decisions = [s["decisions"] for s in sorted(storage.read_json(
                 os.path.join(d, "state", f"wave={w}", "hostgate_deltas.json")
@@ -1656,7 +1779,7 @@ class CrawlEngine:
         # per shard answers with the rebuilt count
         idx, last = self._gate_submit("restore_replay", list(enumerate(
             ([], dec) for dec in decisions)))
-        counts = _gather(idx, ray.get(refs + last)[len(refs):], n)
+        counts = _gather(idx, _gate_replies(calls + last)[len(calls):], n)
         for s, (got, want) in enumerate(zip(counts, metric["shard_seen_counts"])):
             if got != want:
                 raise ValueError(
@@ -1725,6 +1848,11 @@ class CrawlEngine:
             from searchengine_ray.stages.content_probe import drop_store_index
 
             drop_store_index()
+        # a host process still starting takes its reservation when it
+        # comes up: wait for it (bounded) before the baseline below
+        starting = list(self._gate_ready.values())
+        if starting:
+            ray.wait(starting, num_returns=len(starting), timeout=timeout_s)
         avail0 = ray.available_resources().get("CPU", 0.0)
         actors = self.gate_hosts + (self.probe_tier or [])
         refs, by_ref = [], {}

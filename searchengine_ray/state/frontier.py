@@ -261,3 +261,20 @@ def snapshot_tables(path: str):
         pid += 1
     if pid == 0:
         raise FileNotFoundError(f"no frontier snapshot at {path}")
+
+
+def prune_snapshots(frontier_dir: str, oldest: int) -> None:
+    """Remove the committed snapshots ``<frontier_dir>/wave=N`` (either
+    layout) of every wave N < ``oldest``; tmp leftovers are not snapshots
+    and stay for the next write of their wave to clear."""
+    import re
+    import shutil
+
+    for name in os.listdir(frontier_dir):
+        m = re.fullmatch(r"wave=(\d+)(\.parquet|\.lance)?", name)
+        if m and int(m.group(1)) < oldest:
+            path = os.path.join(frontier_dir, name)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            else:
+                os.remove(path)

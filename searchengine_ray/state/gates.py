@@ -5,7 +5,11 @@ globals (SURVEY.md §2.3):
 
 - ``HostGateCore`` (T5/D3/D4): URL-seen set + per-host trap detector for one
   logical shard of ``hash(host) % num_shards``, hosted with other shards'
-  cores in a ``HostGateShard`` actor process (one RPC serves them all).
+  cores in a ``HostGateShard`` (one call serves them all).  The class is
+  plain; ``HostGateActor`` is its actor form, one gate-host process each.
+  The crawl engine holds a driver-side ``HostGateShard`` per host until the
+  host process answers, then hands its admits over with
+  ``restore_replay`` (pipelines/crawl.py ``CrawlEngine._gate_submit``).
   URL similarity is 0 across hosts (link_similarity.py:106-112), so
   host-sharding is EXACTLY the reference's global seen-set semantics.
   Exact dedup uses a cuckoo filter fast path ("definitely new" has no false
@@ -73,11 +77,15 @@ class HostGateCore:
     TrapIndex holds only path structure, with duplicate last-segment
     charsets collapsed)."""
 
-    def __init__(self, shard_id: int, url_similarity_threshold: float = 0.85):
+    def __init__(self, shard_id: int, url_similarity_threshold: float = 0.85,
+                 cuckoo_capacity: int = 1 << 20):
         self.shard_id = shard_id
         self.threshold = url_similarity_threshold
         self.seen = SeenSet(digest_size=32)
-        self.cuckoo = CuckooFilter(capacity=1 << 20)
+        # decisions never depend on the capacity (the exact SeenSet
+        # decides; a full filter regrows): the driver-held copies take
+        # the filter's small default, the gate hosts 2^20
+        self.cuckoo = CuckooFilter(capacity=cuckoo_capacity)
         self.cuckoo_degraded = False  # True → fast path off, exact set only
         self.trap_index = TrapIndex(url_similarity_threshold)
         # per-partition dedup-rate lineage (north-star metric): cumulative
@@ -205,14 +213,16 @@ class HostGateCore:
         return len(self.seen)
 
 
-@ray.remote(num_cpus=0.5)
 class HostGateShard:
-    """Gate host: one process holding the ``HostGateCore`` of each logical
-    shard placed on it.  Every method takes [(logical shard, payload)]
-    batches and replies one entry per batch, in batch order."""
+    """Gate host: the ``HostGateCore`` of each logical shard placed on one
+    gate-host process (``HostGateActor``) or, until that process answers,
+    on the driver.  Every method takes [(logical shard, payload)] batches
+    and replies one entry per batch, in batch order."""
 
-    def __init__(self, shard_ids: list[int], url_similarity_threshold: float):
-        self.cores = {i: HostGateCore(i, url_similarity_threshold)
+    def __init__(self, shard_ids: list[int], url_similarity_threshold: float,
+                 cuckoo_capacity: int = 1 << 20):
+        self.cores = {i: HostGateCore(i, url_similarity_threshold,
+                                      cuckoo_capacity)
                       for i in shard_ids}
 
     def seed(self, batches: list) -> list[list[bool]]:
@@ -230,6 +240,11 @@ class HostGateShard:
 
     def memory_stats(self, batches: list) -> list[dict]:
         return [self.cores[s].memory_stats() for s, _ in batches]
+
+
+# the gate-host process; its timeline events keep the class name
+# (``HostGateShard.<method>``)
+HostGateActor = ray.remote(num_cpus=0.5)(HostGateShard)
 
 
 class WaveGate:

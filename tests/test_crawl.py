@@ -633,7 +633,7 @@ def test_crawl_report_one_row_per_wave(ray_session, store, tmp_path):
     for c in ("wave", "fetched", "inline", "resolve_route", "link_route",
               "slice_s", "fetch_validate_s", "resolve_s", "links_s",
               "spec_rows", "page_accept", "link_accept", "gate_dedup_rate",
-              "driver_rss_mb"):
+              "gate_at", "handoff_rows", "driver_rss_mb"):
         assert c in cols, (c, cols)
     assert [r.split()[0] for r in rows] == ["0", "1", "2"]
     assert all(len(r.split()) == len(cols) for r in rows)
@@ -933,13 +933,16 @@ def test_config_hash_pinned():
                        ).config_hash() == "26b27fed94b78568"
 
 
-@pytest.mark.parametrize("actor", ["gate", "probe"])
+@pytest.mark.parametrize("actor", ["gate", "probe", "gate_before_handoff"])
 def test_state_actor_loss_fails_loudly_and_resumes(ray_session, store, tmp_path,
-                                                   actor):
+                                                   monkeypatch, actor):
     """Losing one state actor (a gate host, or a probe shard in tier mode)
     must fail the next wave loudly — never carry on with an empty shard,
     which would re-admit seen URLs — and the last committed checkpoint must
-    then resume to the uninterrupted crawl."""
+    then resume to the uninterrupted crawl.  The gate host is killed after
+    its handoff (forced at wave 0 through the test hook) or before it: a
+    host not handed over yet holds no state, and its loss raises at the
+    forced handoff."""
     import ray
 
     from searchengine_ray.pipelines.crawl import CrawlEngine
@@ -947,12 +950,15 @@ def test_state_actor_loss_fails_loudly_and_resumes(ray_session, store, tmp_path,
     kw = {"content_probe_shards": 2} if actor == "probe" else {}
     full = _run_engine(store, _config(store, **kw))
     ckpt = str(tmp_path / "ckpt")
+    before = actor == "gate_before_handoff"
+    _handoff_at(monkeypatch, None if before else 0)
     eng = CrawlEngine(store, _config(store, checkpoint_dir=ckpt, **kw))
     try:
         assert eng.run_wave() and eng.run_wave()
-        ray.kill(eng.gate_hosts[0] if actor == "gate" else eng.probe_tier[0])
+        assert bool(eng._gate_local) == before
+        ray.kill(eng.probe_tier[0] if actor == "probe" else eng.gate_hosts[0])
         with pytest.raises(ray.exceptions.RayActorError):
-            eng.run_wave()
+            eng._handoff_all() if before else eng.run_wave()
     finally:
         eng.shutdown()
     eng2 = CrawlEngine.resume(store, _config(store, checkpoint_dir=ckpt, **kw))
@@ -963,6 +969,175 @@ def test_state_actor_loss_fails_loudly_and_resumes(ray_session, store, tmp_path,
     pd.testing.assert_frame_equal(full.crawl_order.reset_index(drop=True),
                                   res.crawl_order.reset_index(drop=True))
     assert full.url_seen == res.url_seen
+
+
+def _handoff_at(monkeypatch, k):
+    """The handoff test hook: the gate-host processes count as answering
+    from wave ``k`` on, never when ``k`` is None (only a forced handoff
+    then reaches them)."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    monkeypatch.setattr(CrawlEngine, "_host_ready",
+                        lambda self, h: k is not None and self.wave >= k)
+
+
+def _seed_count(config) -> int:
+    from searchengine_ray.utils.urls import get_urlhash, normalize, urldefrag_str
+
+    return len({get_urlhash(normalize(urldefrag_str(u))) for u in config.seed_urls})
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"inline_wave_threshold": 0},
+    {"spill": True},
+    {"priority_fn": _research_first, "per_host_wave_budget": 4},
+], ids=["inline", "distributed", "spill", "priority_budget"])
+def test_handoff_at_every_wave_boundary(ray_session, store, tmp_path,
+                                        monkeypatch, kw):
+    """Until the gate-host processes answer, driver-held copies of the
+    hosts gate, and the wave loop then hands their admits over with
+    ``restore_replay``: the crawl equals the oracle with the handoff at
+    every wave boundary and with none (the crawl, result()'s seen-set dump
+    included, ends on the driver).  Each wave records where its host gate
+    ran, and the handoff wave the rows it replayed: every URL admitted
+    before it."""
+    from dataclasses import replace
+
+    kw = dict(kw)
+    spill = kw.pop("spill", False)
+    config = _config(store, **kw)
+    oracle = crawl_oracle(store, config)
+    n = max(e["wave"] for e in oracle.crawl_order) + 1
+    for k in [*range(n), None]:
+        _handoff_at(monkeypatch, k)
+        if spill:
+            config = replace(config, frontier_partitions=3,
+                             frontier_spill_dir=str(tmp_path / f"pool_{k}"))
+        res = _run_engine(store, config)
+        _assert_match(res, oracle)
+        at = n if k is None else k
+        assert [m["gate_at"] for m in res.metrics] == \
+            ["driver"] * at + ["hosts"] * (n - at), k
+        handed = {m["wave"]: m["handoff_rows"] for m in res.metrics
+                  if "handoff_rows" in m}
+        assert handed == ({} if k is None else {k: sum(
+            res.metrics[k - 1]["shard_seen_counts"]) if k else _seed_count(config)})
+
+
+def test_resume_hands_off_mid_run(ray_session, store, tmp_path, monkeypatch):
+    """A resume whose checkpoint holds at most ``driver_link_threshold``
+    admits rebuilds the gates on the driver; the handoff then lands mid-run
+    and carries the rebuilt rows, the new admits and the decision counters:
+    bit-identical to the uninterrupted crawl."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    full = _run_engine(store, _config(store))
+    ckpt = str(tmp_path / "ckpt")
+    _handoff_at(monkeypatch, None)
+    _run_engine(store, _config(store, checkpoint_dir=ckpt, max_waves=2))
+    _handoff_at(monkeypatch, 4)
+    eng = CrawlEngine.resume(store, _config(store, checkpoint_dir=ckpt))
+    try:
+        assert eng._gate_local
+        res = eng.run()
+    finally:
+        eng.shutdown()
+    pd.testing.assert_frame_equal(full.crawl_order.reset_index(drop=True),
+                                  res.crawl_order.reset_index(drop=True))
+    assert full.url_seen == res.url_seen
+    ms = res.metrics
+    assert [m["gate_at"] for m in ms] == ["driver"] * 2 + ["hosts"] * (len(ms) - 2)
+    assert ms[2]["wave"] == 4
+    assert ms[2]["handoff_rows"] == sum(ms[1]["shard_seen_counts"])
+    assert ms[-1]["shard_decisions"] == full.metrics[-1]["shard_decisions"]
+
+
+@pytest.mark.parametrize("kw", [
+    {"driver_link_threshold": 0},
+    {"driver_link_threshold": 0, "inline_wave_threshold": 0},
+    {"inline_wave_threshold": 0, "driver_fp_threshold": 0},
+], ids=["zero_bound", "zero_bound_giant_links", "giant_links"])
+def test_forced_handoff(ray_session, store, monkeypatch, kw):
+    """With the hook never firing, a handoff is still forced: at once when
+    ``driver_link_threshold`` is 0 (the driver may hold no gate rows — the
+    seed waits for the hosts), and before the first giant-wave
+    ``groupby(host)`` gate, whose tasks call the host processes."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    _handoff_at(monkeypatch, None)
+    config = _config(store, **kw)
+    eng = CrawlEngine(store, config)
+    try:
+        assert bool(eng._gate_local) == (kw.get("driver_link_threshold") != 0)
+        res = eng.run()
+    finally:
+        eng.shutdown()
+    _assert_match(res, crawl_oracle(store, config))
+    assert {m["gate_at"] for m in res.metrics} == {"hosts"}
+    assert res.metrics[0]["handoff_rows"] == (
+        0 if kw.get("driver_link_threshold") == 0 else _seed_count(config))
+    if kw.get("inline_wave_threshold") == 0:
+        assert {m["link_route"]["route"] for m in res.metrics} == {"distributed"}
+
+
+def test_resume_over_driver_bound_waits_for_hosts(ray_session, store, tmp_path,
+                                                  monkeypatch):
+    """A checkpoint holding more admits than ``driver_link_threshold`` is
+    rebuilt in the host processes, never on the driver: resume waits for
+    them first, and stays bit-identical."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+    from searchengine_ray.sources import storage
+
+    full = _run_engine(store, _config(store))
+    ckpt = str(tmp_path / "ckpt")
+    _handoff_at(monkeypatch, None)
+    _run_engine(store, _config(store, checkpoint_dir=ckpt, max_waves=2))
+    admitted = sum(storage.read_json(os.path.join(
+        ckpt, "metrics", "wave=1.json"))["shard_seen_counts"])
+    eng = CrawlEngine.resume(store, _config(
+        store, checkpoint_dir=ckpt, driver_link_threshold=admitted - 1))
+    try:
+        assert not eng._gate_local
+        res = eng.run()
+    finally:
+        eng.shutdown()
+    pd.testing.assert_frame_equal(full.crawl_order.reset_index(drop=True),
+                                  res.crawl_order.reset_index(drop=True))
+    assert full.url_seen == res.url_seen
+    assert {m["gate_at"] for m in res.metrics} == {"hosts"}
+
+
+def test_checkpoint_keeps_two_frontier_snapshots(ray_session, store, tmp_path):
+    """Once wave w commits, the frontier snapshots before wave=w are
+    superseded and removed: the checkpoint keeps frontier/wave=w+1, which
+    resume reads, and wave=w, which a manifest rolled back one wave reads
+    (test_resume_ignores_complete_files_beyond_manifest).  The final
+    checkpoint still resumes to the full crawl."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    config = _config(store, per_host_wave_budget=3,
+                     checkpoint_dir=str(tmp_path / "ckpt"),
+                     frontier_spill_dir=str(tmp_path / "pool"),
+                     frontier_partitions=3)
+    fdir = os.path.join(config.checkpoint_dir, "frontier")
+    eng = CrawlEngine(store, config)
+    try:
+        while eng.run_wave():
+            w = eng.wave - 1
+            assert set(os.listdir(fdir)) == {
+                f"wave={v}" for v in (w, w + 1) if v > 0}, w
+        assert w > 3
+        full = eng.result()
+    finally:
+        eng.shutdown()
+    _assert_match(full, crawl_oracle(store, config))
+    eng2 = CrawlEngine.resume(store, _config(
+        store, per_host_wave_budget=3, checkpoint_dir=config.checkpoint_dir))
+    try:
+        assert not eng2.run_wave()  # the committed crawl was complete
+    finally:
+        eng2.shutdown()
 
 
 def _checkpoint_admits(ckpt: str, w: int) -> tuple[set, set]:
