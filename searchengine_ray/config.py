@@ -89,8 +89,8 @@ class CrawlConfig:
     # rank + streamed add) once the accepted links exceed it too: ~3 extra
     # all-to-all stages per wave — pure overhead for small waves, the only
     # shape that works for giant ones.  0 forces the shuffle route.  It
-    # also bounds the gate rows the driver holds while the gate-host
-    # processes start (CrawlEngine._gate_call): 0 waits for them at once
+    # also bounds the URLs the driver-held gate holds before the gate-host
+    # processes answer (CrawlEngine._gate_call): 0 waits for them at once
     driver_link_threshold: int = 200_000
     # frontier pool storage: None = driver-side pandas (small crawls);
     # a directory = host-hash-partitioned parquet spill pool (the 10^10-URL

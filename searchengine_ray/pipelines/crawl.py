@@ -66,11 +66,12 @@ Scale notes (10^10-URL frontier):
   the crawl order or the frontier snapshot, and resume replays them
   (``CrawlEngine._restore``).
 - a gate-host process takes ~1 s to answer (spawn + ``import ray``), which
-  no engine waits for: a driver-held copy of each host gates until its
-  process answers, then the wave loop hands the copy's admits over with
-  ``restore_replay`` (``CrawlEngine._gate_call``/``_handoff``).  The
-  driver holds at most ``driver_link_threshold`` such rows; a call past
-  it, the giant-wave gate and a resume over it wait for the hosts.
+  no engine waits for: a driver-held host gates until its process
+  answers, then the wave loop ships its cores — the gate state itself —
+  to the process in one ``install`` call (``CrawlEngine._gate_call``/
+  ``_handoff``).  The driver holds at most ``driver_link_threshold``
+  admitted URLs; a call past it, the giant-wave gate and a resume over it
+  wait for the hosts.
 - skew: the wave slice caps ``per_host_wave_budget`` URLs per host per wave,
   so a 58%-of-corpus host (BASELINE.md) cannot dominate a wave; fetch actors
   additionally pace per host (token interval = politeness_delay).
@@ -119,7 +120,21 @@ from searchengine_ray.state.gates import (
 )
 from searchengine_ray.utils.urls import is_valid, join_url, normalize, urldefrag_str
 
-_EMPTY = b""
+# a fetched page's fields, with their Arrow types and the values of the
+# 404 shell a fetch of an unknown URL answers with
+_PAGE_FIELDS = (("status", pa.int32(), 404), ("caption", pa.string(), ""),
+                ("bytes", pa.binary(), b""), ("w", pa.int32(), 0),
+                ("h", pa.int32(), 0), ("fmt", pa.string(), ""),
+                ("phash", pa.int64(), 0), ("links", pa.list_(pa.string()), []))
+_NOT_FOUND = tuple(v for _, _, v in _PAGE_FIELDS)
+
+
+def _page_record(page: tuple | None) -> tuple:
+    """One fetched page's field values (``_PAGE_FIELDS`` order): the 404
+    shell for an unknown URL, and a non-200 page keeps only its status."""
+    if page is None:
+        return _NOT_FOUND
+    return page if page[0] == 200 else (page[0], *_NOT_FOUND[1:])
 
 # checkpoint layout version: 3 = per-wave crawl order + frontier snapshot +
 # content-fp deltas; resume rebuilds the host gates from the order and the
@@ -245,74 +260,22 @@ class Fetcher:
                 if wait > 0:
                     time.sleep(wait)
                 self.last_fetch[host] = time.monotonic()
+        names = [name for name, _, _ in _PAGE_FIELDS]
         if self.spec is not None:
-            return self._call_procedural(batch, urls)
-        rows = [self.index.get(u, -1) for u in urls]
-        present = [i for i in rows if i >= 0]
-        sub = self.table.take(pa.array(present, pa.int64()))
-        # per-batch columns from the store slice; missing rows → 404 shells
-        cols = {c: sub[c].to_pylist() for c in
-                ("status", "caption", "bytes", "w", "h", "fmt", "phash", "links")}
-        j = 0
-        out = {k: [] for k in cols}
-        for i in rows:
-            if i < 0:
-                out["status"].append(404)
-                out["caption"].append("")
-                out["bytes"].append(_EMPTY)
-                out["w"].append(0)
-                out["h"].append(0)
-                out["fmt"].append("")
-                out["phash"].append(0)
-                out["links"].append([])
-            else:
-                ok = cols["status"][j] == 200
-                out["status"].append(cols["status"][j])
-                out["caption"].append(cols["caption"][j] if ok else "")
-                out["bytes"].append(cols["bytes"][j] if ok else _EMPTY)
-                out["w"].append(cols["w"][j] if ok else 0)
-                out["h"].append(cols["h"][j] if ok else 0)
-                out["fmt"].append(cols["fmt"][j] if ok else "")
-                out["phash"].append(cols["phash"][j] if ok else 0)
-                out["links"].append(cols["links"][j] if ok else [])
-                j += 1
-        return self._emit(batch, out)
-
-    def _call_procedural(self, batch: pa.Table, urls: list[str]) -> pa.Table:
-        out = {k: [] for k in ("status", "caption", "bytes", "w", "h", "fmt",
-                               "phash", "links")}
-        for u in urls:
-            page = procedural_page(self.spec, u)
-            if page is None:
-                out["status"].append(404)
-                out["caption"].append("")
-                out["bytes"].append(_EMPTY)
-                out["w"].append(0)
-                out["h"].append(0)
-                out["fmt"].append("")
-                out["phash"].append(0)
-                out["links"].append([])
-            else:
-                for k in out:
-                    out[k].append(page[k])
-        return self._emit(batch, out)
-
-    @staticmethod
-    def _emit(batch: pa.Table, out: dict) -> pa.Table:
+            pages = [procedural_page(self.spec, u) for u in urls]
+            pages = [None if p is None else tuple(p[k] for k in names)
+                     for p in pages]
+        else:
+            rows = [self.index.get(u, -1) for u in urls]
+            sub = self.table.take(pa.array([i for i in rows if i >= 0],
+                                           pa.int64()))
+            found = zip(*(sub[k].to_pylist() for k in names))
+            pages = [next(found) if i >= 0 else None for i in rows]
+        cols = zip(*map(_page_record, pages)) if pages else [()] * len(names)
         return pa.table({
-            "seq": batch["seq"],
-            "url_norm": batch["url_norm"],
-            "host": batch["host"],
-            "wave": batch["wave"],
-            "status": pa.array(out["status"], pa.int32()),
-            "caption": pa.array(out["caption"], pa.string()),
-            "bytes": pa.array(out["bytes"], pa.binary()),
-            "w": pa.array(out["w"], pa.int32()),
-            "h": pa.array(out["h"], pa.int32()),
-            "fmt": pa.array(out["fmt"], pa.string()),
-            "phash": pa.array(out["phash"], pa.int64()),
-            "links": pa.array(out["links"], pa.list_(pa.string())),
-        })
+            **{k: batch[k] for k in ("seq", "url_norm", "host", "wave")},
+            **{name: pa.array(col, typ)
+               for (name, typ, _), col in zip(_PAGE_FIELDS, cols)}})
 
 
 def _validate_batch(batch: pa.Table, ngram_size: int) -> pa.Table:
@@ -599,20 +562,11 @@ def _gate_replies(calls: list) -> list:
     return [next(got) if isinstance(c, ray.ObjectRef) else c for c in calls]
 
 
-def _batch_rows(method: str, payload) -> list:
-    """The (host, url_norm, url_hash) rows one gate batch may admit."""
+def _batch_rows(method: str, payload) -> int:
+    """How many URLs one gate batch may admit."""
     if method == "restore_replay":
-        return payload[0]
-    return payload if method in ("seed", "process") else []
-
-
-def _admitted_rows(method: str, rows: list, reply) -> list:
-    """The rows of one gate batch that its reply admitted."""
-    if method == "seed":
-        return [r for r, new in zip(rows, reply) if new]
-    if method == "process":
-        return [r for r, d in zip(rows, reply) if d == "accept"]
-    return rows
+        return len(payload[0])
+    return len(payload) if method in ("seed", "process") else 0
 
 
 def _lap(spans: dict, stage: str, t: float) -> float:
@@ -670,7 +624,13 @@ class CrawlResult:
     ``url_seen_count`` and ``shard_seen_counts``.  The eager views
     (``crawl_order`` frame, ``url_seen`` set, ``accepted_pages`` list) are
     LAZY cached properties for small-crawl/test convenience — accessing one
-    is an explicit O(crawl)-on-the-driver choice."""
+    is an explicit O(crawl)-on-the-driver choice.
+
+    Without a checkpoint the seen-hash tables live in a temporary
+    ``seen_dir`` that this result owns: it is removed when the result is
+    garbage-collected (``CrawlEngine.result``), so keep the result alive
+    while a ``seen_hashes_dataset()`` over it is still being read.  A
+    checkpoint's ``url_seen/`` is the checkpoint's and stays."""
 
     def __init__(self, *, order_frames: list[pd.DataFrame] | None = None,
                  order_dir: str | None = None, num_waves: int = 0,
@@ -807,30 +767,23 @@ class CrawlEngine:
 
         # logical gate shards, spread over few processes (_gate_host_count).
         # A host process takes ~1 s to answer (spawn + import ray), so the
-        # engine does not wait for it: a driver-held copy of each host gates
-        # until the process answers, and the wave loop then hands the copy's
-        # admits over (_gate_call, _handoff)
+        # engine does not wait for it: the gate state starts on the driver,
+        # in one driver-held host per process, and the wave loop ships each
+        # one's cores to its process once it answers (_gate_call, _handoff)
         n_shards = config.num_gate_shards
         n_hosts = _gate_host_count(
             ray.cluster_resources().get("CPU", 1), n_shards)
-        placement = [list(range(h, n_shards, n_hosts)) for h in range(n_hosts)]
         self.gate_hosts = [
-            _cls(HostGateActor, 0.5, scheduling_strategy="SPREAD").remote(
-                ids, config.url_similarity_threshold)
-            for ids in placement
+            _cls(HostGateActor, 0.5, scheduling_strategy="SPREAD").remote()
+            for _ in range(n_hosts)
         ]
         self._gate_ready = {h: a.__ray_ready__.remote()
                             for h, a in enumerate(self.gate_hosts)}
-        # the driver-held hosts (the cuckoo filter's 2^16 default capacity:
-        # decisions do not depend on it) and, per host and logical shard,
-        # the (host, url_norm, url_hash) rows they admitted
-        self._gate_local = {h: HostGateShard(ids, config.url_similarity_threshold,
-                                             cuckoo_capacity=1 << 16)
-                            for h, ids in enumerate(placement)}
-        self._gate_log = {h: {s: [] for s in ids}
-                          for h, ids in enumerate(placement)}
-        self._replays: list = []  # handoff restore_replay calls in flight
-        self._handoff_rows: int | None = None  # rows handed over this wave
+        self._gate_local = {h: HostGateShard(range(h, n_shards, n_hosts),
+                                             config.url_similarity_threshold)
+                            for h in range(n_hosts)}
+        self._installs: list = []  # handoff install calls in flight
+        self._handoff_rows: int | None = None  # URLs handed over this wave
         # content store of record: the sharded probe tier (O(corpus/N) per
         # actor), or None = the broadcast delta chain (_init_store_fp)
         self.probe_tier = [
@@ -988,21 +941,17 @@ class CrawlEngine:
         """One call of gate host ``h``: a ref to the host process's reply
         or, while the process has not been handed the gate state yet, the
         reply of the driver-held host, in process (plain values, no
-        ``ray.put``); the rows it admits are logged for the handoff.  A
-        call that could grow the log past ``driver_link_threshold`` (the
-        bound on gate rows the driver holds) waits for the host first."""
+        ``ray.put``).  A call that could take the driver-held host's seen
+        counts past ``driver_link_threshold`` (the bound on admitted URLs
+        the driver holds) waits for the host first."""
         local = self._gate_local.get(h)
         if local is not None:
-            rows = [_batch_rows(method, p) for _, p in part]
-            log = self._gate_log[h]
-            if (sum(map(len, log.values())) + sum(map(len, rows))
+            held = sum(len(core.seen) for core in local.cores.values())
+            if (held + sum(_batch_rows(method, p) for _, p in part)
                     > self.config.driver_link_threshold):
                 self._handoff(h)
             else:
-                replies = getattr(local, method)(part)
-                for (s, _), r, reply in zip(part, rows, replies):
-                    log[s].extend(_admitted_rows(method, r, reply))
-                return replies
+                return getattr(local, method)(part)
         return getattr(self.gate_hosts[h], method).remote(part)
 
     def _host_ready(self, h: int) -> bool:
@@ -1013,26 +962,24 @@ class CrawlEngine:
         """Hand driver-held host ``h`` over to its process: wait until the
         process answers (a host lost before it answered raises
         ``RayActorError`` here, one lost after it at its next call), then
-        replay the logged admits with each shard's decision counters in ONE
-        ``restore_replay``, not waited for — a caller's calls run in
-        submission order, so every later call from the driver sees the
-        replayed state."""
+        ship the host's cores — seen sets, trap indexes, cuckoo filters and
+        decision counters — in ONE ``install``, not waited for: a caller's
+        calls run in submission order, so every later call from the driver
+        sees the installed state."""
         ray.get(self._gate_ready.pop(h))
         cores = self._gate_local.pop(h).cores
-        log = self._gate_log.pop(h)
-        self._replays.append(self.gate_hosts[h].restore_replay.remote(
-            [(s, (log[s], core.decisions)) for s, core in cores.items()]))
+        self._installs.append(self.gate_hosts[h].install.remote(cores))
         self._handoff_rows = ((self._handoff_rows or 0)
-                              + sum(map(len, log.values())))
+                              + sum(len(core.seen) for core in cores.values()))
 
     def _handoff_all(self) -> None:
-        """Hand every driver-held host over and wait for the replays: for
+        """Hand every driver-held host over and wait for the installs: for
         gate calls from other processes (the giant-wave gate's tasks),
         whose order against the driver's calls nothing guarantees."""
         for h in list(self._gate_local):
             self._handoff(h)
-        ray.get(self._replays)
-        self._replays = []
+        ray.get(self._installs)
+        self._installs = []
 
     def _gate_rpc(self, method: str, batches: list) -> list:
         """``_gate_submit`` and wait: the hosts run in parallel; returns the
@@ -1482,7 +1429,7 @@ class CrawlEngine:
             lambda u: u.split("/")[2]).value_counts().to_dict()
         # where the host gate ran: on the driver while any host process has
         # not been handed the gate state yet; the wave of a handoff also
-        # records the rows it replayed to the processes
+        # records the admitted URLs it handed over to the processes
         handoff = ({} if self._handoff_rows is None
                    else {"handoff_rows": self._handoff_rows})
         self._handoff_rows = None
@@ -1804,7 +1751,9 @@ class CrawlEngine:
         reply) and the order log is passed as the held frames or, with a
         checkpoint, its per-wave directory.  Nothing O(crawl) lands on the
         driver here; the eager views on CrawlResult are lazy and explicit."""
+        import shutil
         import tempfile
+        import weakref
 
         ck = self.config.checkpoint_dir
         seen_dir = (os.path.join(ck, "url_seen") if ck
@@ -1812,7 +1761,7 @@ class CrawlEngine:
         counts = self._gate_all("dump_seen_to", [
             os.path.join(seen_dir, f"shard={i}")
             for i in range(self.config.num_gate_shards)])
-        return CrawlResult(
+        res = CrawlResult(
             order_frames=None if ck else self.crawl_order_frames,
             order_dir=os.path.join(ck, "crawl_order") if ck else None,
             num_waves=self.wave,
@@ -1821,6 +1770,9 @@ class CrawlEngine:
             metrics=self.metrics,
             pages_dir=os.path.join(ck, "pages") if ck else None,
         )
+        if not ck:  # the temporary seen set lives as long as its result
+            weakref.finalize(res, shutil.rmtree, seen_dir, ignore_errors=True)
+        return res
 
     def shutdown(self, timeout_s: float = 15.0) -> None:
         """Terminate the engine's actors and WAIT for their CPU reservation

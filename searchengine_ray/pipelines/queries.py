@@ -7079,13 +7079,60 @@ FROM m
 
 QUERIES = {
     # ORDER IS THE CERTIFICATION ROTATION: the driver's CORRECTNESS gate
-    # checks the first ~50 entries, so entries with no prior driver-green
-    # row in CORRECTNESS_r01..r04 come first (highest-priority 50, then the
-    # remaining never-checked ones), and rounds-1-4-certified entries last.
+    # checks the first ~50 entries: SQL-gated entries never driver-green in
+    # CORRECTNESS_r01..r05 first, then the other SQL-gated ones, and the
+    # rows-only entries (no ORACLE_SQL, so never certified) last.
     # ORACLE_SQL below is name-keyed; its order is irrelevant.
+    "docs_cube": q_docs_cube,
+    "knn_ivf_insert": q_knn_ivf_insert,
+    "image_rot_neardup": q_image_rot_neardup,
+    "image_multimodal_clusters": q_image_multimodal_clusters,
+    "training_corpus": q_training_corpus,
+    "redact_entities": q_redact_entities,
+    "quantile_filter": q_quantile_filter,
+    "repetition_stats": q_repetition_stats,
+    "dup_window_stats": q_dup_window_stats,
+    "remove_dup_spans": q_remove_dup_spans,
+    "lm_perplexity": q_lm_perplexity,
+    "corpus_refresh": q_corpus_refresh,
+    "image_aspect_buckets": q_image_aspect_buckets,
+    "lm_quality_buckets": q_lm_quality_buckets,
+    "event_value_bands": q_event_value_bands,
+    "domain_quality_filter": q_domain_quality_filter,
+    "bm25_compressed": q_bm25_compressed,
+    "rolling_active_users": q_rolling_active_users,
+    "item_transitions": q_item_transitions,
+    "value_histogram": q_value_histogram,
+    "skew_join": q_skew_join,
+    "user_trend": q_user_trend,
+    "stream_join": q_stream_join,
+    "interval_join": q_interval_join,
+    "jsonl_ingest": q_jsonl_ingest,
+    "bloom_join": q_bloom_join,
+    "token_drift": q_token_drift,
+    "late_data": q_late_data,
+    "zscore_outliers": q_zscore_outliers,
+    "gap_fill_daily": q_gap_fill_daily,
+    "anchor_texts": q_anchor_texts,
+    "postings_codec": q_postings_codec,
+    "collocations": q_collocations,
+    "covisit_pairs": q_covisit_pairs,
+    "decayed_engagement": q_decayed_engagement,
+    "quantile_normalize": q_quantile_normalize,
+    "throttle_dedup": q_throttle_dedup,
+    "data_quality": q_data_quality,
+    "locf_impute": q_locf_impute,
+    "target_encode": q_target_encode,
+    "ab_experiment": q_ab_experiment,
+    "label_centroids": q_label_centroids,
+    "funnel_stages": q_funnel_stages,
+    "table_profile": q_table_profile,
+    "chunk_documents": q_chunk_documents,
+    "doc_embeddings": q_doc_embeddings,
+    "vocab_encode": q_vocab_encode,
+    "gopher_rules": q_gopher_rules,
     "knn_pq": q_knn_pq,
     "knn_ivfpq": q_knn_ivfpq,
-    "bpe_stats": q_bpe_stats,
     "graph_communities": q_graph_communities,
     "pagerank": q_pagerank,
     "graph_bfs": q_graph_bfs,
@@ -7133,54 +7180,6 @@ QUERIES = {
     "caption_alignment": q_caption_alignment,
     "retention_cohorts": q_retention_cohorts,
     "cusum_changepoint": q_cusum_changepoint,
-    "docs_cube": q_docs_cube,
-    "distinct_users_hll": q_distinct_users_hll,
-    "knn_ivf_insert": q_knn_ivf_insert,
-    "image_rot_neardup": q_image_rot_neardup,
-    "image_multimodal_clusters": q_image_multimodal_clusters,
-    "training_corpus": q_training_corpus,
-    "redact_entities": q_redact_entities,
-    "quantile_filter": q_quantile_filter,
-    "repetition_stats": q_repetition_stats,
-    "dup_window_stats": q_dup_window_stats,
-    "remove_dup_spans": q_remove_dup_spans,
-    "lm_perplexity": q_lm_perplexity,
-    "corpus_refresh": q_corpus_refresh,
-    "image_aspect_buckets": q_image_aspect_buckets,
-    "lm_quality_buckets": q_lm_quality_buckets,
-    "event_value_bands": q_event_value_bands,
-    "domain_quality_filter": q_domain_quality_filter,
-    "bm25_compressed": q_bm25_compressed,
-    "rolling_active_users": q_rolling_active_users,
-    "item_transitions": q_item_transitions,
-    "value_histogram": q_value_histogram,
-    "skew_join": q_skew_join,
-    "user_trend": q_user_trend,
-    "stream_join": q_stream_join,
-    "interval_join": q_interval_join,
-    "jsonl_ingest": q_jsonl_ingest,
-    "bloom_join": q_bloom_join,
-    "token_drift": q_token_drift,
-    "late_data": q_late_data,
-    "zscore_outliers": q_zscore_outliers,
-    "gap_fill_daily": q_gap_fill_daily,
-    "anchor_texts": q_anchor_texts,
-    "postings_codec": q_postings_codec,
-    "collocations": q_collocations,
-    "covisit_pairs": q_covisit_pairs,
-    "decayed_engagement": q_decayed_engagement,
-    "quantile_normalize": q_quantile_normalize,
-    "throttle_dedup": q_throttle_dedup,
-    "data_quality": q_data_quality,
-    "locf_impute": q_locf_impute,
-    "target_encode": q_target_encode,
-    "ab_experiment": q_ab_experiment,
-    "label_centroids": q_label_centroids,
-    "funnel_stages": q_funnel_stages,
-    "table_profile": q_table_profile,
-    "chunk_documents": q_chunk_documents,
-    "doc_embeddings": q_doc_embeddings,
-    "vocab_encode": q_vocab_encode,
     "pricing_summary": q_pricing_summary,
     "top_orders": q_top_orders,
     "customers_per_region": q_customers_per_region,
@@ -7208,7 +7207,6 @@ QUERIES = {
     "url_canon": q_url_canon,
     "boolean_search": q_boolean_search,
     "index_stats": q_index_stats,
-    "crawl_bfs": q_crawl_bfs,
     "text_features": q_text_features,
     "image_pipeline": q_image_pipeline,
     "minhash_pairs": q_minhash_pairs,
@@ -7232,13 +7230,15 @@ QUERIES = {
     "dedup_keep_best": q_dedup_keep_best,
     "user_running_total": q_user_running_total,
     "event_value_quantiles": q_event_value_quantiles,
-    "event_value_quantiles_sketch": q_event_value_quantiles_sketch,
     "events_sliding_1h": q_events_sliding_1h,
     "knn_ivf": q_knn_ivf,
     "image_phash_neardup": q_image_phash_neardup,
     "image_stats": q_image_stats,
     "image_multimodal_neardup": q_image_multimodal_neardup,
-    "gopher_rules": q_gopher_rules,
+    "bpe_stats": q_bpe_stats,
+    "distinct_users_hll": q_distinct_users_hll,
+    "crawl_bfs": q_crawl_bfs,
+    "event_value_quantiles_sketch": q_event_value_quantiles_sketch,
 }
 
 ORACLE_SQL = {

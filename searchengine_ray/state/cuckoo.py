@@ -11,8 +11,8 @@ filter as the fast path — ``contains() == False`` proves a URL is NEW with
 no false negatives, so only "maybe seen" keys touch the exact backing set.
 The exact set keeps conformance bit-exact; the filter bounds its lookups.
 
-numpy-backed, deterministic, serializable via ``dump``/``load`` for
-checkpoints.
+numpy-backed and deterministic; it pickles whole (the gate handoff ships
+the driver-held filters to the gate-host processes).
 """
 
 from __future__ import annotations
@@ -97,17 +97,9 @@ class CuckooFilter:
                 return True
         return False
 
-    # -- checkpoint ---------------------------------------------------------
-    def dump(self) -> dict:
-        return {"table": self.table.copy(), "count": self.count,
-                "bucket_size": self.bucket_size, "max_kicks": self.max_kicks,
-                "kick_state": self._kick_state}
-
-    @classmethod
-    def load(cls, state: dict) -> "CuckooFilter":
-        f = cls(capacity=state["table"].size, bucket_size=state["bucket_size"],
-                max_kicks=state["max_kicks"])
-        f.table = state["table"].copy()
-        f.count = state["count"]
-        f._kick_state = state["kick_state"]
-        return f
+    def __setstate__(self, state: dict) -> None:
+        # Ray unpickles numpy arrays zero-copy over read-only buffers; the
+        # table is written in place, so an unpickled filter owns a copy
+        self.__dict__.update(state)
+        if not self.table.flags.writeable:
+            self.table = self.table.copy()

@@ -8,8 +8,9 @@ globals (SURVEY.md §2.3):
   cores in a ``HostGateShard`` (one call serves them all).  The class is
   plain; ``HostGateActor`` is its actor form, one gate-host process each.
   The crawl engine holds a driver-side ``HostGateShard`` per host until the
-  host process answers, then hands its admits over with
-  ``restore_replay`` (pipelines/crawl.py ``CrawlEngine._gate_submit``).
+  host process answers, then ships its cores over with ``install``: a
+  gate-host process starts with no cores and never builds gate state of
+  its own (pipelines/crawl.py ``CrawlEngine._handoff``).
   URL similarity is 0 across hosts (link_similarity.py:106-112), so
   host-sharding is EXACTLY the reference's global seen-set semantics.
   Exact dedup uses a cuckoo filter fast path ("definitely new" has no false
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import binascii
 from collections import defaultdict
+from collections.abc import Iterable
 
 import numpy as np
 import ray
@@ -77,15 +79,13 @@ class HostGateCore:
     TrapIndex holds only path structure, with duplicate last-segment
     charsets collapsed)."""
 
-    def __init__(self, shard_id: int, url_similarity_threshold: float = 0.85,
-                 cuckoo_capacity: int = 1 << 20):
+    def __init__(self, shard_id: int, url_similarity_threshold: float = 0.85):
         self.shard_id = shard_id
         self.threshold = url_similarity_threshold
         self.seen = SeenSet(digest_size=32)
-        # decisions never depend on the capacity (the exact SeenSet
-        # decides; a full filter regrows): the driver-held copies take
-        # the filter's small default, the gate hosts 2^20
-        self.cuckoo = CuckooFilter(capacity=cuckoo_capacity)
+        # starts at the filter's default capacity and regrows 4× when full
+        # (``_admit``); decisions never depend on it: the SeenSet decides
+        self.cuckoo = CuckooFilter()
         self.cuckoo_degraded = False  # True → fast path off, exact set only
         self.trap_index = TrapIndex(url_similarity_threshold)
         # per-partition dedup-rate lineage (north-star metric): cumulative
@@ -217,13 +217,18 @@ class HostGateShard:
     """Gate host: the ``HostGateCore`` of each logical shard placed on one
     gate-host process (``HostGateActor``) or, until that process answers,
     on the driver.  Every method takes [(logical shard, payload)] batches
-    and replies one entry per batch, in batch order."""
+    and replies one entry per batch, in batch order.  A gate-host process
+    starts with no cores: the driver-held host builds them and ``install``
+    hands them over."""
 
-    def __init__(self, shard_ids: list[int], url_similarity_threshold: float,
-                 cuckoo_capacity: int = 1 << 20):
-        self.cores = {i: HostGateCore(i, url_similarity_threshold,
-                                      cuckoo_capacity)
+    def __init__(self, shard_ids: Iterable[int] = (),
+                 url_similarity_threshold: float = 0.85):
+        self.cores = {i: HostGateCore(i, url_similarity_threshold)
                       for i in shard_ids}
+
+    def install(self, cores: dict) -> None:
+        """Take over the driver-held host's cores {logical shard: core}."""
+        self.cores = cores
 
     def seed(self, batches: list) -> list[list[bool]]:
         return [self.cores[s].seed(rows) for s, rows in batches]

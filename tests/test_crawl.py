@@ -1081,6 +1081,55 @@ def test_forced_handoff(ray_session, store, monkeypatch, kw):
         assert {m["link_route"]["route"] for m in res.metrics} == {"distributed"}
 
 
+def test_handoff_ships_the_driver_held_state(ray_session, store, monkeypatch):
+    """The handoff ships the driver-held host's cores to its process, which
+    builds no gate state of its own: with the handoff forced at wave 1,
+    each process's per-shard ``memory_stats`` (the cuckoo filter's size
+    included) equals the driver-held host's taken just before the
+    handoff, and the crawl equals the oracle."""
+    import ray
+
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    _handoff_at(monkeypatch, 1)
+    handoff = CrawlEngine._handoff
+    handed = []
+
+    def spy(self, h):
+        shards = [(s, None) for s in self._gate_local[h].cores]
+        before = self._gate_local[h].memory_stats(shards)
+        handoff(self, h)
+        handed.append((before, ray.get(
+            self.gate_hosts[h].memory_stats.remote(shards))))
+
+    monkeypatch.setattr(CrawlEngine, "_handoff", spy)
+    config = _config(store)
+    res = _run_engine(store, config)
+    _assert_match(res, crawl_oracle(store, config))
+    assert sorted(st["shard_id"] for before, _ in handed for st in before) == \
+        list(range(config.num_gate_shards))
+    assert sum(st["seen_count"] for before, _ in handed for st in before) == \
+        sum(res.metrics[0]["shard_seen_counts"])
+    for before, after in handed:
+        assert after == before
+
+
+def test_result_owns_its_temporary_seen_set(ray_session, store):
+    """Without a checkpoint the seen set is dumped into a temporary
+    directory that lives exactly as long as its ``CrawlResult``."""
+    import gc
+
+    config = _config(store)
+    oracle = crawl_oracle(store, config)
+    res = _run_engine(store, config)
+    seen_dir = res.seen_dir
+    assert res.url_seen == oracle.url_seen
+    assert res.seen_hashes_dataset().count() == len(oracle.url_seen)
+    del res
+    gc.collect()
+    assert not os.path.exists(seen_dir)
+
+
 def test_resume_over_driver_bound_waits_for_hosts(ray_session, store, tmp_path,
                                                   monkeypatch):
     """A checkpoint holding more admits than ``driver_link_threshold`` is

@@ -1,5 +1,5 @@
 """Cuckoo filter unit tests (Fan et al. 2014 semantics: no false negatives,
-bounded false positives, deletion support, checkpoint round-trip)."""
+bounded false positives, deletion support, pickle round-trip)."""
 
 import numpy as np
 
@@ -41,13 +41,20 @@ def test_fills_and_reports_full():
     assert ok > 40
 
 
-def test_dump_load_roundtrip():
+def test_pickle_roundtrip():
+    """Unpickled over read-only buffers, as Ray hands numpy arrays over,
+    the copy holds every key and still takes inserts."""
+    import pickle
+
     f = CuckooFilter(capacity=1 << 10)
     for k in range(500):
         f.add(k)
-    g = CuckooFilter.load(f.dump())
+    bufs = []
+    data = pickle.dumps(f, protocol=5, buffer_callback=bufs.append)
+    g = pickle.loads(data, buffers=[bytes(b.raw()) for b in bufs])
     assert all(g.contains(k) for k in range(500))
     assert g.count == f.count
+    assert g.add(500) and g.contains(500) and not f.contains(500)
 
 
 def test_gate_degrades_on_pathological_keys():

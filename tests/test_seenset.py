@@ -99,11 +99,11 @@ def test_gate_dump_matches_sorted_hex_list_write(tmp_path, monkeypatch):
 
 
 def test_gate_host_never_imports_pandas(tmp_path):
-    """A gate host's whole life (seed, process, resume replay, result-time
-    dump) must not load pandas: pyarrow imports it for ``pa.array`` on
+    """A gate host's whole life (seed, process, the handoff's unpickle,
+    resume replay, result-time dump) must not load pandas: pyarrow imports it for ``pa.array`` on
     Python lists, ~0.35 s per process."""
     script = textwrap.dedent(f"""
-        import hashlib, sys
+        import hashlib, pickle, sys
         from searchengine_ray.state.gates import HostGateCore
 
         rows = [("h.test", f"https://h.test/d{{i}}/p",
@@ -113,6 +113,7 @@ def test_gate_host_never_imports_pandas(tmp_path):
         core.seed(rows[:5])
         admitted = rows[:5] + [r for r, d in zip(rows, core.process(rows))
                                if d == "accept"]
+        core = pickle.loads(pickle.dumps(core, protocol=5))
         replayed = HostGateCore(0, 0.85)
         assert replayed.restore_replay(admitted, core.decisions) == len(core.seen)
         assert replayed.dump_seen_to({str(tmp_path / "seen")!r}) == len(core.seen)
@@ -123,3 +124,58 @@ def test_gate_host_never_imports_pandas(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "False", "gate host loaded pandas"
+
+
+def _ship(obj):
+    """Pickle protocol 5 with out-of-band buffers, loaded over read-only
+    copies of them: how Ray ships an actor-call argument (its numpy arrays
+    come back zero-copy over read-only object-store memory)."""
+    import pickle
+
+    bufs = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=bufs.append)
+    return pickle.loads(data, buffers=[bytes(b.raw()) for b in bufs])
+
+
+def test_shipped_gate_host_decides_as_the_original():
+    """The gate handoff ships a driver-held ``HostGateShard`` to its
+    process whole.  Pickled mid-stream, the copy must decide the rest of
+    the candidate stream exactly as the original, with equal
+    ``memory_stats``: for a shard whose seen set holds flushed segments and
+    an active set, a shard whose cuckoo filter has degraded (every digest
+    shares its 8-byte filter key), and with trap hits in the rest."""
+    from searchengine_ray.state.gates import HostGateShard
+
+    rng = np.random.RandomState(11)
+
+    def cand(shard: int) -> tuple[str, str, str]:
+        host = ("a.test", "b.test")[shard]
+        url = (f"https://{host}/cal/2024-{rng.randint(1, 13):02d}-"
+               f"{rng.randint(1, 29):02d}" if rng.rand() < 0.2
+               else f"https://{host}/d{rng.randint(0, 60)}/p{rng.randint(0, 8)}")
+        digest = hashlib.sha256(url.encode()).digest()
+        if shard == 1:  # one filter key for all: the filter cannot hold them
+            digest = b"\x07" * 8 + digest[8:]
+        return host, url, digest.hex()
+
+    def batches(n: int) -> list:
+        return [(s, [cand(s) for _ in range(n)]) for s in (0, 1)]
+
+    orig = HostGateShard([0, 1], 0.85)
+    orig.cores[0].seen = SeenSet(flush_at=64)
+    orig.seed(batches(3))
+    for _ in range(4):
+        orig.process(batches(40))
+    assert orig.cores[0].seen.segments and orig.cores[0].seen.active
+    assert orig.cores[1].cuckoo_degraded
+    stats = [(s, None) for s in (0, 1)]
+    copy = _ship(orig)
+    assert copy.memory_stats(stats) == orig.memory_stats(stats)
+    rest = []
+    for _ in range(4):
+        b = batches(40)
+        got = copy.process(b)
+        assert got == orig.process(b)
+        rest += [d for out in got for d in out]
+    assert {"accept", "dup", "trap"} <= set(rest)
+    assert copy.memory_stats(stats) == orig.memory_stats(stats)

@@ -7,7 +7,7 @@ hits, the page and link decision counts, the host gate's cumulative dedup
 rate over every shard's decision counters (dup + trap over accept + dup +
 trap, from ``shard_decisions``), where the host gate ran (``driver``
 until the gate-host processes are handed the gate state, then ``hosts``)
-with the rows the handoff wave replayed, and the driver's RSS.  Waves past
+with the admitted URLs the handoff wave handed over, and the driver's RSS.  Waves past
 the manifest's ``completed_wave`` (a torn wave's leftovers) are skipped.
 
 Usage: python tools/crawl_report.py <checkpoint_dir>
@@ -45,7 +45,8 @@ def wave_rows(checkpoint_dir: str) -> list[dict]:
         if "shard_decisions" in m:  # absent from format-2 checkpoints
             row["gate_dedup_rate"] = _dedup_rate(m["shard_decisions"])
         # where the host gate ran (absent before the driver-held gate
-        # copies), and the rows a handoff wave replayed to the gate hosts
+        # copies), and the admitted URLs a handoff wave handed over to the
+        # gate hosts
         row["gate_at"] = m.get("gate_at", "hosts")
         row["handoff_rows"] = m.get("handoff_rows", "-")
         row["driver_rss_mb"] = m["driver_rss_mb"]
