@@ -40,8 +40,7 @@ def main() -> None:
     ap.add_argument("--max-waves", type=int, default=None)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--frontier-spill-dir", default=None,
-                    help="host-hash-partitioned parquet frontier pool dir")
-    ap.add_argument("--frontier-partitions", type=int, default=16)
+                    help="spill frontier pool dir (sorted Arrow runs)")
     ap.add_argument("--probe-shards", type=int, default=None,
                     help="shard the content-store probe across N actors "
                          "(O(corpus/N) each) instead of the per-worker "
@@ -81,7 +80,6 @@ def main() -> None:
         max_waves=args.max_waves,
         checkpoint_dir=args.checkpoint_dir,
         frontier_spill_dir=args.frontier_spill_dir,
-        frontier_partitions=args.frontier_partitions,
         content_probe_shards=args.probe_shards,
     )
     if args.driver_fp_threshold is not None:

@@ -93,10 +93,11 @@ class CrawlConfig:
     # processes answer (CrawlEngine._gate_call): 0 waits for them at once
     driver_link_threshold: int = 200_000
     # frontier pool storage: None = driver-side pandas (small crawls);
-    # a directory = host-hash-partitioned parquet spill pool (the 10^10-URL
-    # shape — the driver holds one partition at a time, never the pool)
+    # a directory = spill pool of immutable sorted Arrow runs with
+    # per-(run, host) cursors (the 10^10-URL shape — a wave reads each
+    # host's next rows of every live run, never the pool, and the driver
+    # holds the runs' host index, O(hosts × live runs))
     frontier_spill_dir: str | None = None
-    frontier_partitions: int = 16
     # CPU reservation per STATE actor: the gate hosts (one per 4 cluster
     # CPUs, each serving several logical gate shards) and the probe tier if
     # any.  None = the class defaults (0.5 / 0.25, so a multi-node
@@ -117,7 +118,7 @@ class CrawlConfig:
         for k in ("num_gate_shards", "fetch_concurrency", "fetch_batch_size",
                   "checkpoint_dir", "max_waves", "politeness_delay",
                   "inline_wave_threshold", "frontier_spill_dir",
-                  "frontier_partitions", "driver_link_threshold",
+                  "driver_link_threshold",
                   "content_probe_shards",
                   "driver_fp_threshold", "state_actor_num_cpus"):
             d.pop(k)

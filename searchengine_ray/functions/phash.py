@@ -47,12 +47,8 @@ def phash64(pixels: np.ndarray) -> int:
     block = coeffs[:_K, :_K].copy()
     flat = block.flatten()
     med = np.median(flat[1:])  # exclude DC
-    bits = (flat > med).astype(np.uint64)
-    h = np.uint64(0)
-    for b in bits:
-        h = (h << np.uint64(1)) | b
-    v = int(h)
-    return v - (1 << 64) if v >= (1 << 63) else v
+    # the 64 bits, first coefficient most significant, as one signed int64
+    return int(np.packbits(flat > med).view(">i8")[0])
 
 
 def hamming64(a: int, b: int) -> int:

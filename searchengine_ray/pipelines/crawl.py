@@ -40,10 +40,11 @@ decode, hashing, link parsing) is freely parallel.
 
 Scale notes (10^10-URL frontier):
 - the frontier pool is pluggable (state/frontier.py): the default driver
-  pandas pool for small crawls, or the host-hash-partitioned parquet spill
-  pool (``config.frontier_spill_dir``) where the driver holds at most one
-  partition transiently — slice semantics are identical and both run under
-  the conformance suite.  At full scale the FIFO seq assignment becomes the
+  pandas pool for small crawls, or the spill pool of immutable sorted runs
+  (``config.frontier_spill_dir``) where a wave reads only each host's next
+  rows of every live run and the driver holds the runs' per-host cursors —
+  slice semantics are identical and both run under the conformance suite.
+  At full scale the FIFO seq assignment becomes the
   standard distributed rank: sort by (parent_seq, link_idx) →
   per-partition counts → exclusive prefix sum → per-partition offset add.
   The per-wave dataflow is unchanged.
@@ -795,8 +796,7 @@ class CrawlEngine:
         self.next_seq = 0
         self.pages_fetched = 0
         if config.frontier_spill_dir:
-            self.pool = PartitionedFrontierPool(
-                config.frontier_spill_dir, config.frontier_partitions)
+            self.pool = PartitionedFrontierPool(config.frontier_spill_dir)
         else:
             self.pool = InMemoryFrontierPool()
         # the crawl order when there is no checkpoint (_order_record)
@@ -1783,7 +1783,10 @@ class CrawlEngine:
         at ``timeout_s``.  Actor death and resource release are separate
         raylet events (a stale reservation was observed live), so the
         available CPU is polled (bounded) and a persistent leak is warned
-        loudly instead of surfacing later as a scheduling hang."""
+        loudly instead of surfacing later as a scheduling hang.  With no
+        CPU reserved (``state_actor_num_cpus=0``) there is nothing to poll
+        for: a gate host that has not answered is killed, not waited for
+        (its graceful terminate would queue behind its start, ~0.7 s)."""
         if getattr(self, "_shutdown_done", False):
             return
         self._shutdown_done = True
@@ -1800,13 +1803,24 @@ class CrawlEngine:
             from searchengine_ray.stages.content_probe import drop_store_index
 
             drop_store_index()
-        # a host process still starting takes its reservation when it
-        # comes up: wait for it (bounded) before the baseline below
         starting = list(self._gate_ready.values())
-        if starting:
+        unanswered = set()
+        if starting and self._actor_cpu_reserved > 0:
+            # a host process still starting takes its reservation when it
+            # comes up: wait for it (bounded) before the baseline below
             ray.wait(starting, num_returns=len(starting), timeout=timeout_s)
+        elif starting:
+            # nothing reserved, so no baseline to wait for: a host that has
+            # not answered is killed where it stands
+            ready = set(ray.wait(starting, num_returns=len(starting),
+                                 timeout=0)[0])
+            unanswered = {h for h, r in self._gate_ready.items()
+                          if r not in ready}
+            for h in unanswered:
+                ray.kill(self.gate_hosts[h], no_restart=True)
         avail0 = ray.available_resources().get("CPU", 0.0)
-        actors = self.gate_hosts + (self.probe_tier or [])
+        actors = [a for h, a in enumerate(self.gate_hosts)
+                  if h not in unanswered] + (self.probe_tier or [])
         refs, by_ref = [], {}
         for a in actors:
             try:

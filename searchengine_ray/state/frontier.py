@@ -6,25 +6,29 @@ suite runs the engine with both):
 
 - ``InMemoryFrontierPool``: the driver-side pandas frame — right for small
   crawls and the inline conformance path.
-- ``PartitionedFrontierPool``: host-hash-partitioned parquet fragments under
-  a spill directory — the 10^10-URL shape promised by the crawl module
-  docstring (pipelines/crawl.py "Scale notes").  The driver never holds the
-  pool: ``add`` appends fragments for only the touched partitions,
-  ``slice_wave`` streams one partition at a time (transient memory =
-  pool/num_partitions, not pool), and the returned wave slice is bounded by
-  the per-host budget × live hosts (the wave itself, by definition).
+- ``PartitionedFrontierPool``: immutable sorted runs under a spill
+  directory — the 10^10-URL shape promised by the crawl module docstring
+  (pipelines/crawl.py "Scale notes").  Each ``add`` writes ONE run, an
+  uncompressed Arrow IPC file sorted by (host, priority DESC, seq ASC);
+  the driver keeps only each run's host → [start, end) index and a
+  per-(run, host) cursor.  ``slice_wave`` memory-maps the live runs and
+  reads only each host's next ``depth`` rows after its cursor, so a
+  wave's I/O is O(wave + hosts × live runs), not O(pool), and no file is
+  ever rewritten: the rows a wave takes from a host are a prefix of that
+  host's untaken rows in every run, so taking them only moves cursors.
 
 Ordering contract (must match ``crawl_oracle``): a wave slice is the pool
 sorted by (priority DESC, seq ASC), per-host ``head(per_host_budget)``, then
 ``head(cap)`` — seq is unique, so the order is deterministic for any
-partitioning.  Hosts never straddle partitions (crc32(host) % P), so the
-per-host budget is partition-local.
+storage layout.  A host's first ``depth`` untaken rows of every run hold
+its whole share of a slice, because each run is sorted by the same key
+within the host.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
-import zlib
 
 import numpy as np
 import pandas as pd
@@ -33,7 +37,18 @@ import pyarrow as pa
 from searchengine_ray.sources import storage
 
 POOL_COLUMNS = ["seq", "url_norm", "host", "wave", "priority"]
-_POOL_DTYPES = {"seq": np.int64, "wave": np.int32, "priority": np.float64}
+_POOL_SCHEMA = pa.schema([("seq", pa.int64()), ("url_norm", pa.string()),
+                          ("host", pa.string()), ("wave", pa.int32()),
+                          ("priority", pa.float64())])
+_RUN_SORT = [("host", "ascending"), ("priority", "descending"),
+             ("seq", "ascending")]
+# compaction: more live runs than MAX_RUNS merges all but the KEEP_RUNS
+# largest (by untaken rows) into one run, so the runs a wave reads stay
+# bounded and a run mostly taken is rewritten only as its live rows
+MAX_RUNS = 8
+KEEP_RUNS = 3
+COMPACT_HOSTS = 4096  # hosts per record batch of a compacted run
+CURSORS = "cursors.arrow"  # a run-layout snapshot's cursor table
 
 
 def empty_pool_frame() -> pd.DataFrame:
@@ -100,158 +115,233 @@ class InMemoryFrontierPool:
             pa.Table.from_pandas(self.pool, preserve_index=False), path)
 
 
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The row indices of the ranges [starts[i], ends[i]), concatenated."""
+    lens = np.maximum(ends - starts, 0)
+    offsets = np.cumsum(lens) - lens
+    return (np.arange(int(lens.sum()), dtype=np.int64)
+            + np.repeat(starts - offsets, lens))
+
+
+def _read_ipc(path: str) -> pa.Table:
+    """An Arrow IPC file as a zero-copy table over its memory map."""
+    return pa.ipc.open_file(pa.memory_map(path)).read_all()
+
+
+class _Run:
+    """One immutable run file and its in-memory index: the rows of
+    ``hosts[i]`` are [start[i], end[i]), sorted by (priority DESC, seq
+    ASC); the rows before ``pos[i]`` are taken."""
+
+    def __init__(self, path: str) -> None:
+        import pyarrow.compute as pc
+
+        self.path = path
+        self.table = _read_ipc(path)
+        hosts, ends, off = [], [], 0
+        for chunk in self.table.column("host").chunks:
+            ree = pc.run_end_encode(chunk)
+            names = ree.values.to_pylist()
+            stops = ree.run_ends.to_numpy().astype(np.int64) + off
+            if names and hosts and hosts[-1] == names[0]:  # straddles chunks
+                hosts.pop()
+                ends.pop()
+            hosts.extend(names)
+            ends.extend(stops.tolist())
+            off += len(chunk)
+        self.hosts = hosts
+        self.end = np.asarray(ends, dtype=np.int64)
+        self.start = np.concatenate(([0], self.end))[:-1].astype(np.int64)
+        self.pos = self.start.copy()
+        self.live = self.table.num_rows
+
+    def rows(self, depth: int | None = None, lo: int = 0,
+             hi: int | None = None) -> np.ndarray:
+        """Untaken row indices of host segments [lo, hi): all of them, or
+        each segment's next ``depth``."""
+        pos, end = self.pos[lo:hi], self.end[lo:hi]
+        if depth is not None:
+            end = np.minimum(end, pos + max(0, depth))
+        return _ranges(pos, end)
+
+    def advance(self, rows: np.ndarray) -> None:
+        """Mark ``rows`` taken: they are a prefix of each segment's
+        untaken rows, so only the cursors move."""
+        seg = np.searchsorted(self.end, rows, side="right")
+        self.pos += np.bincount(seg, minlength=len(self.pos))
+        self.live -= len(rows)
+
+    def skip(self, taken: dict[str, int]) -> None:
+        """Restore a snapshot's cursors: ``taken`` rows per host."""
+        idx = {h: i for i, h in enumerate(self.hosts)}
+        for h, n in taken.items():
+            self.pos[idx[h]] += n
+            self.live -= n
+
+
 class PartitionedFrontierPool:
-    """Host-hash-partitioned parquet-backed pool.
+    """Spill pool of immutable sorted runs with per-(run, host) cursors.
 
-    Layout: ``<spill_dir>/part=<pid>/frag-<k>.parquet`` — ``add`` appends a
-    fragment per touched partition; ``slice_wave`` compacts each touched
-    partition to a single remaining-rows fragment.  Fragment writes are
-    tmp+rename (a torn write leaves the previous state intact), and the
-    authoritative recovery point is the per-wave checkpoint snapshot, not
-    the spill dir."""
+    Layout: ``<spill_dir>/run-<k>.arrow``.  ``add`` writes one run;
+    ``slice_wave`` reads each live host's next rows of every run and moves
+    cursors; a run whose rows are all taken is deleted, and more than
+    ``MAX_RUNS`` live runs are compacted.  The spill dir is scratch: the
+    recovery point is the per-wave checkpoint snapshot (hardlinked runs +
+    one cursor table), and a fresh pool clears the dir."""
 
-    def __init__(self, spill_dir: str, num_partitions: int = 16) -> None:
+    def __init__(self, spill_dir: str) -> None:
+        import shutil
+
         self.dir = spill_dir
-        self.num_partitions = num_partitions
-        self._counts = [0] * num_partitions
-        self._frag_seq = 0
+        self._runs: list[_Run] = []
+        self._run_seq = 0
+        self.rows_read = 0  # rows the last slice_wave read from the runs
         os.makedirs(spill_dir, exist_ok=True)
-        for pid in range(num_partitions):
-            d = self._part_dir(pid)
-            os.makedirs(d, exist_ok=True)
-            for f in os.listdir(d):  # a fresh engine owns a fresh pool
-                if f.endswith(".parquet") or f.endswith(".tmp"):
-                    os.remove(os.path.join(d, f))
+        for f in os.listdir(spill_dir):  # a fresh engine owns a fresh pool
+            p = os.path.join(spill_dir, f)
+            if f.startswith("part="):  # the earlier partitioned layout
+                shutil.rmtree(p)
+            elif f.startswith("run-"):
+                os.remove(p)
 
     # ------------------------------------------------------------- internals
-    def _part_dir(self, pid: int) -> str:
-        return os.path.join(self.dir, f"part={pid}")
+    def _write_run(self, tables) -> None:
+        path = os.path.join(self.dir, f"run-{self._run_seq:08d}.arrow")
+        self._run_seq += 1
+        with pa.OSFile(path, "wb") as sink, \
+                pa.ipc.new_file(sink, _POOL_SCHEMA) as writer:
+            for t in tables:
+                writer.write_table(t)
+        self._runs.append(_Run(path))
 
-    def _fragments(self, pid: int) -> list[str]:
-        d = self._part_dir(pid)
-        return sorted(os.path.join(d, f) for f in os.listdir(d)
-                      if f.endswith(".parquet"))
+    def _drop(self, runs: list[_Run]) -> None:
+        gone = {id(r) for r in runs}
+        self._runs = [r for r in self._runs if id(r) not in gone]
+        for r in runs:
+            os.remove(r.path)
 
-    def _partition_ids(self, hosts: pd.Series) -> np.ndarray:
-        p = self.num_partitions
-        # hosts repeat heavily within a wave — hash each distinct host once
-        uniq = {h: zlib.crc32(h.encode("utf-8")) % p for h in hosts.unique()}
-        return hosts.map(uniq).to_numpy(dtype=np.int64)
+    def _compact(self) -> None:
+        """Merge the live rows of all but the ``KEEP_RUNS`` largest runs
+        into one run, host range by host range: the driver holds one
+        range's rows at a time, and the taken prefixes are dropped."""
+        merge = sorted(self._runs, key=lambda r: r.live)[:-KEEP_RUNS]
+        hosts = sorted(set().union(*(
+            (h for h, p, e in zip(r.hosts, r.pos, r.end) if p < e)
+            for r in merge)))
 
-    def _write_fragment(self, pid: int, df: pd.DataFrame) -> None:
-        import pyarrow.parquet as pq
+        def ranges():
+            for i in range(0, len(hosts), COMPACT_HOSTS):
+                lo, hi = hosts[i], hosts[min(i + COMPACT_HOSTS, len(hosts)) - 1]
+                parts = [r.table.take(r.rows(
+                    lo=bisect.bisect_left(r.hosts, lo),
+                    hi=bisect.bisect_right(r.hosts, hi))) for r in merge]
+                yield pa.concat_tables(parts).sort_by(_RUN_SORT)
 
-        path = os.path.join(self._part_dir(pid),
-                            f"frag-{self._frag_seq:08d}.parquet")
-        self._frag_seq += 1
-        tmp = path + ".tmp"
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp)
-        os.replace(tmp, path)
-
-    def _read_partition(self, pid: int) -> pd.DataFrame:
-        import pyarrow.parquet as pq
-
-        frags = self._fragments(pid)
-        if not frags:
-            return empty_pool_frame()
-        frames = [pq.read_table(f).to_pandas() for f in frags]
-        return (pd.concat(frames, ignore_index=True)
-                if len(frames) > 1 else frames[0])
-
-    def _replace_partition(self, pid: int, df: pd.DataFrame) -> None:
-        old = self._fragments(pid)
-        if len(df):
-            self._write_fragment(pid, df)
-        for f in old:
-            os.remove(f)
-        self._counts[pid] = len(df)
+        self._write_run(ranges())
+        self._drop(merge)
 
     # ------------------------------------------------------------------- api
     def __len__(self) -> int:
-        return int(sum(self._counts))
+        return sum(r.live for r in self._runs)
 
     def add(self, df: pd.DataFrame) -> None:
         if not len(df):
             return
-        df = df[POOL_COLUMNS]
-        pids = self._partition_ids(df["host"])
-        for pid, g in df.groupby(pids, sort=False):
-            self._write_fragment(int(pid), g)
-            self._counts[int(pid)] += len(g)
+        tbl = pa.Table.from_arrays(
+            [pa.array(df[f.name].to_numpy(), f.type) for f in _POOL_SCHEMA],
+            schema=_POOL_SCHEMA)
+        self._write_run([tbl.sort_by(_RUN_SORT)])
+        if len(self._runs) > MAX_RUNS:
+            self._compact()
 
     def add_dataset(self, ds) -> None:
         _add_dataset(self, ds)
 
     def slice_wave(self, per_host_budget: int | None, cap: int | None,
                    peek_next: bool = False):
-        takes = []
-        for pid in range(self.num_partitions):
-            if self._counts[pid] == 0:
-                continue
-            g = self._read_partition(pid)
-            # one pass yields both the wave slice and the next-wave
-            # prediction (speculative-fetch feed): take up to 2× the
-            # per-host budget.  Only the local heads are kept, so a touched
-            # partition is read again below to remove the taken rows —
-            # that second read keeps transient memory at pool/P
-            depth = (2 * per_host_budget if peek_next and per_host_budget
-                     else per_host_budget)
-            local = _slice_frame(g, depth, None)
-            if len(local):
-                local = local.copy()
-                local["_pid"] = pid
-                takes.append(local)
-            del g
-        empty = empty_pool_frame()
-        if not takes:
+        # each host's share of this slice (and, under peek_next, of the
+        # next one) lies in its first `depth` untaken rows of every run
+        depth = (None if per_host_budget is None
+                 else 2 * per_host_budget if peek_next else per_host_budget)
+        if cap is not None:
+            depth = cap if depth is None else min(depth, cap)
+        heads, run_ids, row_ids = [], [], []
+        for i, run in enumerate(self._runs):
+            rows = run.rows(depth)
+            if len(rows):
+                heads.append(run.table.take(rows))
+                run_ids.append(np.full(len(rows), i, dtype=np.int64))
+                row_ids.append(rows)
+        self.rows_read = sum(len(r) for r in row_ids)
+        if not heads:
+            empty = empty_pool_frame()
             return (empty, empty) if peek_next else empty
-        merged = pd.concat(takes, ignore_index=True)
+        merged = pa.concat_tables(heads).to_pandas()
         take = _slice_frame(merged, per_host_budget, cap)
-        # remove the taken rows from their partitions (touched ones only)
-        for pid, tg in take.groupby("_pid", sort=False):
-            remaining = self._read_partition(int(pid))
-            remaining = remaining[~remaining["seq"].isin(tg["seq"])]
-            self._replace_partition(int(pid), remaining)
-        take = take.drop(columns=["_pid"]).reset_index(drop=True)
+        taken = take.index.to_numpy()  # positions in `merged`
+        run_ids, row_ids = np.concatenate(run_ids), np.concatenate(row_ids)
+        for i in np.unique(run_ids[taken]):
+            self._runs[i].advance(row_ids[taken][run_ids[taken] == i])
+        self._drop([r for r in self._runs if r.live == 0])
+        take = take.reset_index(drop=True)
         if not peek_next:
             return take
-        rest = merged[~merged["seq"].isin(take["seq"])]
+        rest = merged.drop(index=taken)
         nxt_cap = cap - len(take) if cap is not None else None
         peek = _slice_frame(rest, per_host_budget, nxt_cap)
-        return take, peek.drop(columns=["_pid"]).reset_index(drop=True)
+        return take, peek.reset_index(drop=True)
 
     def snapshot_to(self, path: str) -> None:
-        # fragments are immutable once written (rewrites create new files),
-        # so a snapshot is a HARDLINK per fragment — O(#files), not O(pool
-        # bytes), and the links survive later fragment removals.  tmp+rename
-        # per partition keeps the snapshot atomic.
+        # runs are immutable, so a snapshot HARDLINKS each live run — O(runs),
+        # not O(pool bytes), and the links survive later run removals — and
+        # writes one cursor table of the (run, host) pairs with taken rows
         import shutil
 
-        for pid in range(self.num_partitions):
-            dest = os.path.join(path, f"part={pid}")
-            tmp = dest + ".tmp"
-            if os.path.exists(tmp):
-                shutil.rmtree(tmp)
+        def write(tmp: str) -> None:
             os.makedirs(tmp)
-            for f in self._fragments(pid):
-                target = os.path.join(tmp, os.path.basename(f))
+            names, hosts, taken = [], [], []
+            for r in self._runs:
+                name = os.path.basename(r.path)
                 try:
-                    os.link(f, target)
+                    os.link(r.path, os.path.join(tmp, name))
                 except OSError:  # cross-device fallback
-                    shutil.copy2(f, target)
-            if os.path.exists(dest):
-                shutil.rmtree(dest)
-            os.replace(tmp, dest)
+                    shutil.copy2(r.path, os.path.join(tmp, name))
+                moved = np.flatnonzero(r.pos > r.start)
+                names += [name] * len(moved)
+                hosts += [r.hosts[i] for i in moved]
+                taken.append(r.pos[moved] - r.start[moved])
+            cursors = pa.table({
+                "run": pa.array(names, pa.string()),
+                "host": pa.array(hosts, pa.string()),
+                "taken": pa.array(np.concatenate(taken) if taken
+                                  else np.zeros(0, np.int64), pa.int64())})
+            with pa.OSFile(os.path.join(tmp, CURSORS), "wb") as sink, \
+                    pa.ipc.new_file(sink, cursors.schema) as writer:
+                writer.write_table(cursors)
+
+        storage.replace_dir(path, write)
 
 
 def snapshot_tables(path: str):
     """Yield a checkpoint snapshot's tables one at a time: the single
-    table of an in-memory pool, or each hardlinked fragment of a spill
-    pool's per-partition directories."""
+    table of an in-memory pool, the untaken rows of each hardlinked run of
+    a spill pool, or each fragment of the earlier per-partition layout
+    (``part=<pid>/frag-*.parquet``)."""
     import pyarrow.parquet as pq
 
     if storage.exists(path):  # single-table layout (in-memory snapshots)
         yield storage.read_table(path)
+        return
+    if os.path.exists(cursor_path := os.path.join(path, CURSORS)):
+        cur = _read_ipc(cursor_path).to_pydict()
+        taken: dict[str, dict[str, int]] = {}
+        for name, host, n in zip(cur["run"], cur["host"], cur["taken"]):
+            taken.setdefault(name, {})[host] = n
+        for name in sorted(os.listdir(path)):
+            if name.startswith("run-"):
+                run = _Run(os.path.join(path, name))
+                run.skip(taken.get(name, {}))
+                yield run.table.take(run.rows())
         return
     pid = 0
     while os.path.isdir(part := os.path.join(path, f"part={pid}")):

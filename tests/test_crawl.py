@@ -307,12 +307,12 @@ def test_shutdown_cancels_unconsumed_speculation(ray_session, store):
 
 
 def test_engine_matches_oracle_speculative_spill_priority(ray_session, store, tmp_path):
-    """Speculation over the partitioned spill pool + priority queue + probe
+    """Speculation over the spill pool + priority queue + probe
     tier — the full 10^10-shape stack at fixture scale."""
     config = _config(store, per_host_wave_budget=4,
                      priority_fn=_research_first, content_probe_shards=2,
                      frontier_spill_dir=str(tmp_path / "spec_pool"),
-                     frontier_partitions=3, inline_wave_threshold=0)
+                     inline_wave_threshold=0)
     res = _run_engine(store, config)
     _assert_match(res, crawl_oracle(store, config))
 
@@ -383,7 +383,7 @@ def test_engine_matches_oracle_distributed_append(ray_session, store, tmp_path):
         config = _config(store, inline_wave_threshold=0,
                          driver_link_threshold=0,
                          frontier_spill_dir=str(tmp_path / "fp_da"),
-                         frontier_partitions=3, **kw)
+                         **kw)
         res = _run_engine(store, config)
         _assert_match(res, crawl_oracle(store, config))
 
@@ -474,19 +474,18 @@ def test_explode_links_matches_memo_free_loop(extra_filter):
 
 
 def test_engine_matches_oracle_spill_pool(ray_session, store, tmp_path):
-    """The host-hash-partitioned parquet frontier pool must reproduce the
-    oracle exactly (slice semantics identical to the in-memory pool)."""
+    """The spill frontier pool (sorted runs + per-host cursors) must
+    reproduce the oracle exactly (slice semantics identical to the
+    in-memory pool)."""
     config = _config(store, per_host_wave_budget=3,
-                     frontier_spill_dir=str(tmp_path / "fpool"),
-                     frontier_partitions=5)
+                     frontier_spill_dir=str(tmp_path / "fpool"))
     res = _run_engine(store, config)
     _assert_match(res, crawl_oracle(store, config))
 
 
 def test_engine_matches_oracle_spill_pool_priority(ray_session, store, tmp_path):
     config = _config(store, priority_fn=_research_first, per_host_wave_budget=4,
-                     frontier_spill_dir=str(tmp_path / "fpool_prio"),
-                     frontier_partitions=3)
+                     frontier_spill_dir=str(tmp_path / "fpool_prio"))
     res = _run_engine(store, config)
     _assert_match(res, crawl_oracle(store, config))
 
@@ -501,12 +500,11 @@ def test_checkpoint_resume_spill_pool(ray_session, store, tmp_path):
     ckpt = str(tmp_path / "ckpt_spill")
     eng = CrawlEngine(store, _config(
         store, checkpoint_dir=ckpt, max_waves=2,
-        frontier_spill_dir=str(tmp_path / "sp1"), frontier_partitions=4))
+        frontier_spill_dir=str(tmp_path / "sp1")))
     eng.run()
     eng.shutdown()
 
-    for kw in ({"frontier_spill_dir": str(tmp_path / "sp2"),
-                "frontier_partitions": 4}, {}):
+    for kw in ({"frontier_spill_dir": str(tmp_path / "sp2")}, {}):
         eng2 = CrawlEngine.resume(store, _config(store, checkpoint_dir=ckpt, **kw))
         res2 = eng2.run()
         eng2.shutdown()
@@ -933,6 +931,54 @@ def test_config_hash_pinned():
                        ).config_hash() == "26b27fed94b78568"
 
 
+def test_shutdown_kills_unanswered_gate_host(ray_session, store, tmp_path,
+                                             monkeypatch):
+    """With no CPU reserved for state actors there is no baseline to wait
+    for, so shutdown does not wait for a gate host that never answered: it
+    returns at once, the actor is DEAD and its process is gone."""
+    import time
+
+    import ray
+
+    from searchengine_ray.pipelines import crawl
+    from searchengine_ray.state.gates import HostGateShard
+
+    pid_file = str(tmp_path / "host.pid")
+
+    class NeverAnswers(HostGateShard):
+        def __init__(self):
+            with open(pid_file + ".tmp", "w") as f:
+                f.write(str(os.getpid()))
+            os.replace(pid_file + ".tmp", pid_file)
+            time.sleep(600)
+
+    monkeypatch.setattr(crawl, "HostGateActor", ray.remote(NeverAnswers))
+    eng = crawl.CrawlEngine(store, _config(store))
+    assert len(eng.gate_hosts) == 1
+    deadline = time.monotonic() + 60
+    while not os.path.exists(pid_file):
+        assert time.monotonic() < deadline, "gate host never started"
+        time.sleep(0.05)
+    with open(pid_file) as f:
+        pid = int(f.read())
+    actor_id = eng.gate_hosts[0]._actor_id.hex()
+    t0 = time.monotonic()
+    eng.shutdown()
+    assert time.monotonic() - t0 < 3.0
+
+    def gone() -> bool:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    deadline = time.monotonic() + 20
+    while not (gone() and ray._private.state.actors(actor_id)["State"] == "DEAD"):
+        assert time.monotonic() < deadline, "gate host still running"
+        time.sleep(0.1)
+
+
 @pytest.mark.parametrize("actor", ["gate", "probe", "gate_before_handoff"])
 def test_state_actor_loss_fails_loudly_and_resumes(ray_session, store, tmp_path,
                                                    monkeypatch, actor):
@@ -1012,8 +1058,7 @@ def test_handoff_at_every_wave_boundary(ray_session, store, tmp_path,
     for k in [*range(n), None]:
         _handoff_at(monkeypatch, k)
         if spill:
-            config = replace(config, frontier_partitions=3,
-                             frontier_spill_dir=str(tmp_path / f"pool_{k}"))
+            config = replace(config, frontier_spill_dir=str(tmp_path / f"pool_{k}"))
         res = _run_engine(store, config)
         _assert_match(res, oracle)
         at = n if k is None else k
@@ -1167,8 +1212,7 @@ def test_checkpoint_keeps_two_frontier_snapshots(ray_session, store, tmp_path):
 
     config = _config(store, per_host_wave_budget=3,
                      checkpoint_dir=str(tmp_path / "ckpt"),
-                     frontier_spill_dir=str(tmp_path / "pool"),
-                     frontier_partitions=3)
+                     frontier_spill_dir=str(tmp_path / "pool"))
     fdir = os.path.join(config.checkpoint_dir, "frontier")
     eng = CrawlEngine(store, config)
     try:
@@ -1223,7 +1267,7 @@ def test_admitted_set_is_order_plus_frontier(ray_session, store, tmp_path, kw):
 
     kw = dict(kw)
     if kw.pop("spill", False):
-        kw.update(frontier_spill_dir=str(tmp_path / "pool"), frontier_partitions=3)
+        kw.update(frontier_spill_dir=str(tmp_path / "pool"))
     ckpt = str(tmp_path / "ckpt")
     eng = CrawlEngine(store, _config(store, checkpoint_dir=ckpt, **kw))
     try:
@@ -1276,6 +1320,32 @@ def test_resume_format2_checkpoint(ray_session, store, tmp_path):
     assert storage.read_json(os.path.join(ckpt, "manifest.json"))["format"] == 3
 
 
+@pytest.mark.parametrize("spill", [True, False], ids=["spill", "in_memory"])
+def test_resume_partitioned_spill_checkpoint(ray_session, store, tmp_path,
+                                             spill):
+    """A checkpoint whose frontier snapshots use the earlier spill layout
+    (``part=<pid>/frag-*.parquet``, written by an earlier engine on this
+    store with per_host_wave_budget=2 and 3 partitions, stopped after wave
+    2, pages/ dropped) resumes into either pool to the oracle's crawl
+    order and URL-seen set."""
+    from searchengine_ray.pipelines.crawl import CrawlEngine
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "checkpoint_spill_parts")
+    ckpt = str(tmp_path / "ckpt")
+    shutil.copytree(src, ckpt)
+    assert os.path.isdir(os.path.join(ckpt, "frontier", "wave=3", "part=0"))
+    kw = {"frontier_spill_dir": str(tmp_path / "pool")} if spill else {}
+    config = _config(store, per_host_wave_budget=2, checkpoint_dir=ckpt, **kw)
+    eng = CrawlEngine.resume(store, config)
+    try:
+        assert eng.wave == 3
+        res = eng.run()
+    finally:
+        eng.shutdown()
+    _assert_match(res, crawl_oracle(store, config))
+
+
 def test_resume_ignores_complete_files_beyond_manifest(ray_session, store,
                                                        tmp_path):
     """A crash between a wave's artifacts and its manifest leaves a
@@ -1286,8 +1356,7 @@ def test_resume_ignores_complete_files_beyond_manifest(ray_session, store,
     full = _run_engine(store, _config(store))
     ckpt = str(tmp_path / "ckpt")
     eng = CrawlEngine(store, _config(store, checkpoint_dir=ckpt,
-                                     frontier_spill_dir=str(tmp_path / "pool"),
-                                     frontier_partitions=3))
+                                     frontier_spill_dir=str(tmp_path / "pool")))
     try:
         assert eng.run_wave() and eng.run_wave()
         shutil.copy(os.path.join(ckpt, "manifest.json"), str(tmp_path / "m.json"))
@@ -1312,7 +1381,7 @@ def test_resume_ignores_complete_files_beyond_manifest(ray_session, store,
 def test_resume_fails_loudly_on_missing_admits(ray_session, store, tmp_path,
                                                missing):
     """A checkpoint missing an admitted-URL file (a crawl_order wave before
-    the manifest's, or one frontier fragment) would rebuild smaller seen
+    the manifest's, or one frontier run) would rebuild smaller seen
     sets and quietly re-admit URLs: resume must refuse it instead."""
     import glob
 
@@ -1320,13 +1389,12 @@ def test_resume_fails_loudly_on_missing_admits(ray_session, store, tmp_path,
 
     ckpt = str(tmp_path / "ckpt")
     _run_engine(store, _config(store, checkpoint_dir=ckpt, max_waves=3,
-                               frontier_spill_dir=str(tmp_path / "pool"),
-                               frontier_partitions=3))
+                               frontier_spill_dir=str(tmp_path / "pool")))
     if missing == "crawl_order":
         os.remove(os.path.join(ckpt, "crawl_order", "wave=1.parquet"))
     else:
         frags = sorted(glob.glob(os.path.join(ckpt, "frontier", "wave=3",
-                                              "part=*", "*.parquet")))
+                                              "run-*.arrow")))
         assert frags
         os.remove(frags[0])
     with pytest.raises(ValueError, match="checkpoint rebuild of gate shard"):

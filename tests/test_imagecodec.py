@@ -147,6 +147,34 @@ def test_phash_stability_across_encode_decode():
     assert hamming64(h1, h2) <= 4
 
 
+def test_phash_bit_order_matches_shift_construction():
+    """``phash64`` packs the 64 median-threshold bits first-coefficient-
+    most-significant into a signed int64: pinned against the bit-by-bit
+    shift construction on random and structured images."""
+    from searchengine_ray.functions import phash as ph
+
+    def by_shifts(px):
+        gray = px.astype(np.float64) @ np.array([0.299, 0.587, 0.114])
+        flat = (ph._DCT @ ph._resample(gray) @ ph._DCT.T)[:8, :8].flatten()
+        h = 0
+        for b in flat > np.median(flat[1:]):
+            h = (h << 1) | int(b)
+        return h - (1 << 64) if h >= (1 << 63) else h
+
+    rng = np.random.RandomState(3)
+    imgs = [rng.randint(0, 256, size=(rng.randint(96, 161),
+                                      rng.randint(96, 161), 3), dtype=np.uint8)
+            for _ in range(20)]
+    for s in range(20):
+        px = np.zeros((64, 64, 3), dtype=np.uint8)
+        px[:, : 8 + 2 * s] = 200 + s
+        imgs.append(px)
+    imgs.append(np.zeros((64, 64, 3), dtype=np.uint8))  # hash 0
+    hashes = [ph.phash64(px) for px in imgs]
+    assert hashes == [by_shifts(px) for px in imgs]
+    assert min(hashes) < 0 == hashes[-1]
+
+
 def test_phash_discriminates():
     d = hamming64(phash64(_img(6)), phash64(_img(7)))
     assert d > 8
