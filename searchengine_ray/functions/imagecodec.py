@@ -25,6 +25,7 @@ All functions operate on ``numpy.uint8`` arrays of shape (h, w, 3).
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -167,14 +168,6 @@ def _rgb_to_ycbcr(px: np.ndarray) -> np.ndarray:
     return np.stack([y, cb, cr], axis=-1)
 
 
-def _ycbcr_to_rgb(ycc: np.ndarray) -> np.ndarray:
-    y, cb, cr = ycc[..., 0], ycc[..., 1] - 128.0, ycc[..., 2] - 128.0
-    r = y + 1.402 * cr
-    g = y - 0.344136 * cb - 0.714136 * cr
-    b = y + 1.772 * cb
-    return np.stack([r, g, b], axis=-1)
-
-
 def _dct2_blocks(plane: np.ndarray, m: np.ndarray) -> np.ndarray:
     """``m @ B @ m.T`` for every 8×8 block B of ``plane`` — expressed as two
     full-plane GEMMs (one per axis), not per-block matmuls: ~100× faster
@@ -212,21 +205,85 @@ def encode_jpeg(pixels: np.ndarray, quality: int = _JPEG_QUALITY) -> bytes:
             + zlib.compress(payload, 2))
 
 
+# decode_jpeg's quantization tables tiled over the largest plane decoded so
+# far, per quality: the tiling has period 8, so a plane's table is the
+# top-left [:hh, :ww] view.  Read-only; a concurrent regrow is harmless.
+_TILED: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# decode_jpeg's per-thread float64 workspaces, grown on demand
+_WS = threading.local()
+
+
+def _tiled_tables(quality: int, hh: int, ww: int) -> tuple[np.ndarray, np.ndarray]:
+    t = _TILED.get(quality)
+    if t is None or t[0].shape[0] < hh or t[0].shape[1] < ww:
+        rh, rw = (hh, ww) if t is None else (max(hh, t[0].shape[0]),
+                                             max(ww, t[0].shape[1]))
+        t = tuple(_tile_table(tbl, rh, rw) for tbl in _quant_tables(quality))
+        for tbl in t:
+            tbl.setflags(write=False)
+        _TILED[quality] = t
+    return t[0][:hh, :ww], t[1][:hh, :ww]
+
+
+def _workspace(name: str, n: int) -> np.ndarray:
+    buf = getattr(_WS, name, None)
+    if buf is None or buf.size < n:
+        buf = np.empty(n, dtype=np.float64)
+        setattr(_WS, name, buf)
+    return buf[:n]
+
+
 def decode_jpeg(data: bytes) -> np.ndarray:
+    """Inverse of ``encode_jpeg``.  Bit-identical to dequantize →
+    ``_dct2_blocks(·, _DCT8.T)`` + 128 per channel → YCbCr → RGB (BT.601) →
+    round/clip (pinned by tests/test_imagecodec.py): the same two GEMMs per
+    channel on the same operands, every element through the same float
+    operations in the same order, but written into per-thread workspaces
+    (no temporary per step), with the tiled tables cached and the color
+    conversion run on the cropped h × w pixels only."""
     if data[:4] != DJPG_MAGIC:
         raise ValueError("not a DJPG payload")
     w, h, quality = struct.unpack(">IIB", data[4:13])
-    tl, tc = _quant_tables(quality)
     hh, ww = h + (-h % 8), w + (-w % 8)
-    arr = np.frombuffer(zlib.decompress(data[13:]), dtype=np.int16)
-    arr = arr.reshape(3, hh, ww).astype(np.float64)
-    chans = []
+    coef = np.frombuffer(zlib.decompress(data[13:]),
+                         dtype=np.int16).reshape(3, hh, ww)
+    tables = _tiled_tables(quality, hh, ww)
+    n = hh * ww
+    # _dct2_blocks' intermediate layouts: rows of 8-row block bands (a, b),
+    # then columns of 8-column block bands (c, d)
+    a = _workspace("a", n).reshape(8, hh // 8, ww)
+    b = _workspace("b", n).reshape(8, hh // 8 * ww)
+    c = _workspace("c", n).reshape(8, ww // 8, hh // 8, 8)
+    d = _workspace("d", n).reshape(8, ww // 8 * hh)
+    planes = _workspace("planes", 3 * n).reshape(3, hh, ww // 8, 8)
+    m = _DCT8.T  # inverse: B = M.T @ coef @ M
     for ci in range(3):
-        tbl = _tile_table(tl if ci == 0 else tc, hh, ww)
-        # inverse: B = M.T @ coef @ M
-        chans.append(_dct2_blocks(arr[ci] * tbl, _DCT8.T) + 128.0)
-    rgb = _ycbcr_to_rgb(np.stack(chans, axis=-1))
-    return np.clip(np.round(rgb), 0, 255).astype(np.uint8)[:h, :w]
+        tbl = tables[0 if ci == 0 else 1]
+        np.multiply(coef[ci].reshape(hh // 8, 8, ww).transpose(1, 0, 2),
+                    tbl.reshape(hh // 8, 8, ww).transpose(1, 0, 2), out=a)
+        np.matmul(m, a.reshape(8, -1), out=b)
+        np.copyto(c, b.reshape(8, hh // 8, ww // 8, 8).transpose(3, 2, 1, 0))
+        np.matmul(m, c.reshape(8, -1), out=d)
+        np.add(d.reshape(8, ww // 8, hh).transpose(2, 1, 0), 128.0,
+               out=planes[ci])
+    y, cb_, cr_ = planes.reshape(3, hh, ww)[:, :h, :w]
+    cb = _workspace("cb", h * w).reshape(h, w)
+    cr = _workspace("cr", h * w).reshape(h, w)
+    t = _workspace("t", h * w).reshape(h, w)
+    rgb = _workspace("rgb", 3 * h * w).reshape(h, w, 3)
+    np.subtract(cb_, 128.0, out=cb)
+    np.subtract(cr_, 128.0, out=cr)
+    np.multiply(cr, 1.402, out=t)
+    np.add(y, t, out=rgb[..., 0])
+    np.multiply(cb, 0.344136, out=t)
+    np.subtract(y, t, out=rgb[..., 1])
+    np.multiply(cr, 0.714136, out=t)
+    np.subtract(rgb[..., 1], t, out=rgb[..., 1])
+    np.multiply(cb, 1.772, out=t)
+    np.add(y, t, out=rgb[..., 2])
+    np.round(rgb, out=rgb)
+    np.clip(rgb, 0, 255, out=rgb)
+    return rgb.astype(np.uint8)
 
 
 def encode(pixels: np.ndarray, fmt: str) -> bytes:

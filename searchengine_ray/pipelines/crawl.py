@@ -9,8 +9,11 @@ SURVEY.md §3.3), every one timed into the wave metric's ``spans``:
                     phash fingerprints; every live page's links exploded
                     (resolve/defrag/is_valid/canonicalize) and robots-
                     filtered into a per-page ``cands`` column.  Small waves
-                    run it on the driver; others in stateless Ray Data
-                    tasks, or a pacing ``Fetcher`` actor pool when
+                    run it on the driver; others in plain Ray tasks, one
+                    per row chunk, that also append the store probe's
+                    flags (the wave is a list of block refs, wrapped in a
+                    Dataset only by the stages that run Ray Data jobs), or
+                    a pacing ``Fetcher`` actor pool under Ray Data when
                     ``politeness_delay`` > 0
       → resolve     content gate: store probe (parallel, read-only) +
                     sequential resolve in processing order — exact
@@ -26,11 +29,13 @@ SURVEY.md §3.3), every one timed into the wave metric's ``spans``:
       → metric, checkpoint
 
 Wave pipelining: without politeness pacing, the slice also peeks the NEXT
-wave's predicted slice, whose fetch+validate runs speculatively in
-background tasks while this wave's later stages occupy the driver.  Fetch
-is pure (no store probe, no gate state), so decisions are identical; rows
-are keyed by seq and taken by whichever wave the seq lands in.  Under
-politeness nothing speculates (the pacing clocks are per actor).
+wave's predicted slice, whose fetch+validate runs speculatively — the same
+fetch task as a distributed wave's, without the store probe — while this
+wave's later stages occupy the driver.  Fetch is pure (no store probe, no
+gate state), so decisions are identical; rows are keyed by seq and taken by
+whichever wave the seq lands in (a distributed wave flags them in one
+keep+flag task per speculative table).  Under politeness nothing
+speculates (the pacing clocks are per actor).
 
 Determinism/ordering contract: the engine reproduces the single-threaded
 reference FIFO exactly — ``crawl_order`` sorted by (wave, seq) equals the
@@ -453,15 +458,42 @@ def _robots_filter_table(b: pa.Table, rules: dict) -> pa.Table:
 
 
 @ray.remote
-def _spec_fetch_validate(store, tbl: pa.Table, ngram_size: int,
-                         link_spec) -> pa.Table:
-    """Speculative fetch+validate of PREDICTED next-wave rows (wave
-    pipelining).  Pure data work — decode, phash, shingles, link
-    candidates; no store probe, no gate state — so running it early cannot
-    change any decision; output rows are keyed by seq and consumed by
-    whichever wave the seq lands in."""
-    f = Fetcher(store, 0.0)
-    return _validate_and_link(f(tbl), ngram_size, link_spec)
+def _fetch_validate_task(spec: tuple, rows: pa.Table, start: int, stop: int,
+                         probe=None) -> pa.Table:
+    """The one fetch task, over rows [start, stop) of ``rows`` (a table put
+    in the object store once, sliced by every task): fetch + validate +
+    link candidates (``spec`` = (store ref, ngram size, link spec)).  Pure
+    data work — decode, phash, shingles, link candidates; no gate state —
+    so a speculative run of PREDICTED next-wave rows (wave pipelining, no
+    ``probe``) cannot change any decision: its rows are keyed by seq and
+    consumed by whichever wave the seq lands in.  A distributed wave's own
+    chunks append the store probe's flags (``probe``)."""
+    store_ref, ngram_size, link_spec = spec
+    f = Fetcher(_get_broadcast(store_ref), 0.0)
+    out = _validate_and_link(f(rows.slice(start, stop - start)), ngram_size,
+                             link_spec)
+    return out if probe is None else _with_store_flags(out, probe)
+
+
+@ray.remote
+def _keep_flag_task(tbl: pa.Table, seqs: np.ndarray, probe) -> pa.Table:
+    """A speculative table's rows of this wave (``seqs``), with the store
+    probe's flags."""
+    return _with_store_flags(_keep_rows(tbl, seqs), probe)
+
+
+def _chunk_count(n: int, cpus: int) -> int:
+    """How many parts a distributed wave of ``n`` rows is split into: ≥ 8
+    rows each (each page's links explode in its task), at most 4 × the
+    cluster CPUs of them."""
+    return max(1, min(n // 8 + 1, 4 * cpus))
+
+
+def _chunk_bounds(n: int, cpus: int, batch_size: int) -> list[tuple[int, int]]:
+    """A distributed wave's row chunks [start, stop), one fetch task each:
+    ``_chunk_count`` of them, cut further to ≤ ``batch_size`` rows."""
+    size = min(-(-n // _chunk_count(n, cpus)), batch_size)
+    return [(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _empty_gate_frame() -> pd.DataFrame:
@@ -577,13 +609,18 @@ def _lap(spans: dict, stage: str, t: float) -> float:
     return now
 
 
+def _keep_rows(tbl: pa.Table, seqs: np.ndarray) -> pa.Table:
+    """The rows of ``tbl`` whose ``seq`` is in the int64 array ``seqs``."""
+    return tbl.filter(pc.is_in(tbl["seq"], value_set=pa.array(seqs)))
+
+
 def _keep_seqs(seqs):
     """Batch filter keeping the rows whose ``seq`` is in ``seqs``.  The seq
     array is broadcast once, so the filter ships to Ray Data tasks as is."""
-    ref = ray.put(pa.array(sorted(int(s) for s in seqs), pa.int64()))
+    ref = ray.put(np.array(sorted(int(s) for s in seqs), np.int64))
 
     def keep(b: pa.Table) -> pa.Table:
-        return b.filter(pc.is_in(b["seq"], value_set=ray.get(ref)))
+        return _keep_rows(b, ray.get(ref))
 
     return keep
 
@@ -754,6 +791,8 @@ class CrawlEngine:
         # what a fetch task needs to emit link candidates (_validate_and_link)
         self._link_spec = (config.allowed_domains, config.extra_link_filter,
                            self.robots_ref if config.use_robots else None)
+        # what every fetch task is handed (_fetch_validate_task)
+        self._fetch_spec = (self.store_ref, config.ngram_size, self._link_spec)
         # state-actor CPU reservations: class defaults, or the config
         # override (0 on small shared sessions — see CrawlConfig docs).
         # Track the total actually reserved so shutdown can verify the
@@ -772,8 +811,8 @@ class CrawlEngine:
         # in one driver-held host per process, and the wave loop ships each
         # one's cores to its process once it answers (_gate_call, _handoff)
         n_shards = config.num_gate_shards
-        n_hosts = _gate_host_count(
-            ray.cluster_resources().get("CPU", 1), n_shards)
+        self._cluster_cpus = int(ray.cluster_resources().get("CPU", 1))
+        n_hosts = _gate_host_count(self._cluster_cpus, n_shards)
         self.gate_hosts = [
             _cls(HostGateActor, 0.5, scheduling_strategy="SPREAD").remote()
             for _ in range(n_hosts)
@@ -1041,8 +1080,10 @@ class CrawlEngine:
             # fired FIRST: the predicted next wave's fetches overlap this
             # wave's whole pipeline
             self._launch_speculation()
-        validated, n_spec = (self._fetch_validate_inline if plan.inline
-                             else self._fetch_validate_distributed)(wave_df)
+        # validated: the wave's table (inline) or its block refs
+        validated, n_spec, n_tasks = (
+            self._fetch_validate_inline if plan.inline
+            else self._fetch_validate_distributed)(wave_df)
         t = _lap(spans, "fetch_validate", t)
 
         if plan.driver_resolve:
@@ -1069,7 +1110,7 @@ class CrawlEngine:
         t = _lap(spans, "append", t)
 
         metric = self._wave_metric(order_df, len(fp_seqs), t - t0, spans, plan,
-                                   link_route, totals, n_spec)
+                                   link_route, totals, n_spec, n_tasks)
         self.metrics.append(metric)
         t = _lap(spans, "metric", t)
         if cfg.checkpoint_dir:
@@ -1113,9 +1154,9 @@ class CrawlEngine:
         """Driver-side fetch+validate for small waves — the distributed
         path's kernels (Fetcher.__call__ + _validate_batch +
         _link_candidates, robots from the store itself).  Returns (table,
-        rows speculation served)."""
-        rest, refs, keep, n_spec = self._take_speculated(wave_df)
-        parts = [keep(t) for t in ray.get(refs)]
+        rows speculation served, 0 tasks)."""
+        rest, refs, covered = self._take_speculated(wave_df)
+        parts = [_keep_rows(t, covered) for t in ray.get(refs)]
         if len(rest) or not parts:
             if not hasattr(self, "_inline_fetcher"):
                 self._inline_fetcher = Fetcher(self.store_ref,
@@ -1126,95 +1167,88 @@ class CrawlEngine:
                 _validate_batch(self._inline_fetcher(batch), cfg.ngram_size),
                 cfg.allowed_domains, cfg.extra_link_filter,
                 self.store.robots if cfg.use_robots else None))
-        return pa.concat_tables(parts), n_spec
+        return pa.concat_tables(parts), len(covered), 0
 
     def _fetch_validate_distributed(self, wave_df: pd.DataFrame):
-        """Fetch + validate + link candidates in Ray Data tasks, then the
-        store probe's flags.  Returns (materialized dataset, rows
-        speculation served)."""
+        """Fetch + validate + link candidates and the store probe's flags
+        in plain Ray tasks: one fetch task per row chunk
+        (``_chunk_bounds``) and one keep+flag task per speculative table
+        the wave consumes — no Ray Data job, no repartition exchange.
+        Waits for the tasks here (without fetching their output), so this
+        stage's span covers the work.  Under politeness the pacing actor
+        pool runs as a Ray Data job (``_fetch_validate_paced``).  Returns
+        (the wave's block refs, rows speculation served, tasks
+        submitted)."""
         cfg = self.config
         probe = self._store_probe()
-        ngram_size, store_ref, link_spec = (cfg.ngram_size, self.store_ref,
-                                            self._link_spec)
-        rest, refs, keep, n_spec = self._take_speculated(wave_df)
-        parts = []
-        if len(rest):
-            # from_pandas yields ONE block and map parallelism is per-block
-            # — split the wave so every core gets tasks: ≥8 rows per block
-            # (each page's links explode in its fetch task), capped at
-            # 4×CPUs.  NOTE: driver-side pre-splitting via rd.from_blocks
-            # was tried (kills this repartition exchange, ~15-20% on the
-            # many-wave shape) and REVERTED: it flaky-deadlocks the
-            # streaming executor inside this materialize on small (4-CPU)
-            # sessions — hung 3 of 6 suite runs at
-            # test_engine_matches_oracle_distributed_append, always in
-            # get_output_blocking, while this construction has survived
-            # every suite since round 1.
-            ncpu = int(ray.cluster_resources().get("CPU", 8))
-            nblocks = max(1, min(len(rest) // 8 + 1, 4 * ncpu))
-            wave_ds = rd.from_pandas(rest).repartition(nblocks)
-            if cfg.politeness_delay > 0:
-                # pacing needs per-actor clocks → actor pool
-                fetched = wave_ds.map_batches(
-                    Fetcher,
-                    fn_constructor_kwargs={"store_ref": store_ref,
-                                           "delay": cfg.politeness_delay},
-                    batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
-                    concurrency=(1, cfg.fetch_concurrency), num_cpus=0.25,
-                )
-                parts.append(fetched.map_batches(
-                    lambda b: _validate_and_link(b, ngram_size, link_spec),
-                    batch_format="pyarrow"))
-            else:
-                # stateless fetch+validate tasks — no per-wave actor pool
-                # spin-up; broadcasts memoized per worker
-                def fetch_validate(b: pa.Table) -> pa.Table:
-                    f = Fetcher(_get_broadcast(store_ref), 0.0)
-                    return _validate_and_link(f(b), ngram_size, link_spec)
-
-                parts.append(wave_ds.map_batches(
-                    fetch_validate, batch_format="pyarrow",
-                    batch_size=cfg.fetch_batch_size))
-        if refs:
-            parts.append(rd.from_arrow_refs(refs).map_batches(
-                keep, batch_format="pyarrow"))
-        prevalidated = parts[0]
-        for p in parts[1:]:
-            prevalidated = prevalidated.union(p)
+        if cfg.politeness_delay > 0:  # nothing speculates under politeness
+            return self._fetch_validate_paced(wave_df, probe), 0, 0
+        rest, refs, covered = self._take_speculated(wave_df)
         with _by_value(cfg.extra_link_filter):  # runs in the fetch tasks
-            validated = prevalidated.map_batches(
-                lambda b: _with_store_flags(b, probe),
-                batch_format="pyarrow").materialize()
-        return validated, n_spec
+            blocks = [_keep_flag_task.remote(ref, covered, probe)
+                      for ref in refs]
+            if len(rest):
+                blocks += self._submit_fetches(rest, _chunk_bounds(
+                    len(rest), self._cluster_cpus, cfg.fetch_batch_size), probe)
+        ray.wait(blocks, num_returns=len(blocks), fetch_local=False)
+        return blocks, len(covered), len(blocks)
+
+    def _fetch_validate_paced(self, wave_df: pd.DataFrame, probe) -> list:
+        """The politeness route: a pacing ``Fetcher`` actor pool (per-actor
+        per-host clocks) over the wave in row blocks, then validate + link
+        candidates + the store flags; returns the block refs."""
+        cfg = self.config
+        ngram_size, link_spec = cfg.ngram_size, self._link_spec
+        nblocks = _chunk_count(len(wave_df), self._cluster_cpus)
+        fetched = rd.from_pandas(wave_df).repartition(nblocks).map_batches(
+            Fetcher,
+            fn_constructor_kwargs={"store_ref": self.store_ref,
+                                   "delay": cfg.politeness_delay},
+            batch_format="pyarrow", batch_size=cfg.fetch_batch_size,
+            concurrency=(1, cfg.fetch_concurrency), num_cpus=0.25)
+        with _by_value(cfg.extra_link_filter):  # runs in the map tasks
+            return fetched.map_batches(
+                lambda b: _with_store_flags(
+                    _validate_and_link(b, ngram_size, link_spec), probe),
+                batch_format="pyarrow").materialize().to_arrow_refs()
+
+    def _submit_fetches(self, rows: pd.DataFrame, bounds: list, probe=None) -> list:
+        """One ``_fetch_validate_task`` per row chunk [start, stop) of
+        ``rows``, whose table is put in the object store once: a task is
+        handed the ref and its bounds, never a pickled slice."""
+        tbl = ray.put(pa.Table.from_pandas(rows[["seq", "url_norm", "host", "wave"]],
+                                           preserve_index=False))
+        return [_fetch_validate_task.remote(self._fetch_spec, tbl, a, b, probe)
+                for a, b in bounds]
 
     # --------------------------------------------------- wave pipelining --
     def _launch_speculation(self) -> None:
         """Fire speculative fetch+validate tasks for the predicted next
-        slice (frontier backlog) — they run while THIS wave's gate/link/
-        frontier stages occupy the driver."""
+        slice (frontier backlog), one per ``fetch_batch_size`` rows — they
+        run while THIS wave's gate/link/frontier stages occupy the
+        driver."""
         pred = self._spec_predicted
         self._spec_predicted = None
         if pred is None or not len(pred):
             return
         new = pred[~pred["seq"].isin(self._spec_seqs)]
+        if not len(new):
+            return
         bs = self.config.fetch_batch_size
-        cols = ["seq", "url_norm", "host", "wave"]
-        for i in range(0, len(new), bs):
-            chunk = new.iloc[i:i + bs]
-            tbl = pa.Table.from_pandas(chunk[cols], preserve_index=False)
-            with _by_value(self.config.extra_link_filter):
-                ref = _spec_fetch_validate.remote(
-                    self.store_ref, tbl, self.config.ngram_size, self._link_spec)
-            seqs = chunk["seq"].to_numpy(dtype=np.int64)
-            self._spec.append((ref, seqs))
-            self._spec_seqs.update(int(s) for s in seqs)
+        bounds = [(i, min(i + bs, len(new))) for i in range(0, len(new), bs)]
+        with _by_value(self.config.extra_link_filter):
+            refs = self._submit_fetches(new, bounds)
+        seqs = new["seq"].to_numpy(dtype=np.int64)
+        for ref, (a, b) in zip(refs, bounds):
+            self._spec.append((ref, seqs[a:b]))
+        self._spec_seqs.update(seqs.tolist())
 
     def _take_speculated(self, wave_df: pd.DataFrame):
         """This wave's rows already fetched by speculation, for either fetch
         route: (the rows still to fetch, the speculative tables covering
-        the wave, the batch filter keeping the wave's rows of them, rows
-        served).  The tables stay alive for their other rows; consumed
-        seqs are pruned at wave end (_spec_prune)."""
+        the wave, the sorted seqs of the wave's rows in them).  The tables
+        stay alive for their other rows; consumed seqs are pruned at wave
+        end (_spec_prune)."""
         wave_seqs = set(wave_df["seq"].tolist())
         refs, covered = [], set()
         for ref, seqs in self._spec:
@@ -1223,9 +1257,9 @@ class CrawlEngine:
                 refs.append(ref)
                 covered |= hit
         if not covered:
-            return wave_df, [], None, 0
+            return wave_df, [], np.zeros(0, dtype=np.int64)
         return (wave_df[~wave_df["seq"].isin(covered)], refs,
-                _keep_seqs(covered), len(covered))
+                np.array(sorted(covered), dtype=np.int64))
 
     def _spec_prune(self, wave_df: pd.DataFrame) -> None:
         if not self._spec:
@@ -1246,9 +1280,9 @@ class CrawlEngine:
         flags in processing order → live rows → exact sequential resolve
         (``resolve_wave``).  Inline waves probe the store here; distributed
         ones carry the flags their fetch tasks computed and are read from
-        the materialized wave's own blocks (zero-copy refs, columns
-        selected here): a ``select_columns`` would plan and run a whole new
-        Ray Data job whose tasks queue behind the speculative fetches.  On
+        the wave's own block refs (columns selected here): a
+        ``select_columns`` would plan and run a whole Ray Data job whose
+        tasks queue behind the speculative fetches.  On
         one node the blocks map shared memory; blocks held on other nodes
         travel whole, payload included — bounded by
         ``driver_fp_threshold`` pages.  Arrow end to end: pandas conversion
@@ -1266,8 +1300,7 @@ class CrawlEngine:
                                        self._store_probe())
         else:
             fp_tbl = pa.concat_tables([
-                t.select(fp_cols + flag_cols)
-                for t in ray.get(validated.to_arrow_refs())])
+                t.select(fp_cols + flag_cols) for t in ray.get(validated)])
         fp_tbl = fp_tbl.take(pc.sort_indices(pa.array(
             [rank_map[int(s)] for s in fp_tbl["seq"].to_pylist()], pa.int64())))
         live_full = fp_tbl.filter(
@@ -1312,8 +1345,9 @@ class CrawlEngine:
                                os.path.join(tmp, "part-0.parquet"))
         else:
             def write(tmp: str) -> None:
-                validated.map_batches(keep_accepted, batch_format="pyarrow"
-                                      ).select_columns(_PAGE_COLS).write_parquet(tmp)
+                rd.from_arrow_refs(validated).map_batches(
+                    keep_accepted, batch_format="pyarrow"
+                ).select_columns(_PAGE_COLS).write_parquet(tmp)
         storage.replace_dir(os.path.join(self.config.checkpoint_dir, "pages",
                                          f"wave={self.wave}"), write)
 
@@ -1368,7 +1402,7 @@ class CrawlEngine:
         # gate, materialized: the gate RPCs mutate actor state and must run
         # EXACTLY once; the blocks stay distributed in the object store
         gated = (
-            validated.select_columns(["seq", "cands"])
+            rd.from_arrow_refs(validated).select_columns(["seq", "cands"])
             .map_batches(accepted_candidates, batch_format="pyarrow")
             .groupby("host")
             .map_groups(host_gate, batch_format="pandas")
@@ -1413,7 +1447,7 @@ class CrawlEngine:
     # ------------------------------------------------------------- metric --
     def _wave_metric(self, order_df: pd.DataFrame, n_fetched: int, wall: float,
                      spans: dict, plan: _WavePlan, link_route: dict,
-                     totals: dict, n_spec: int) -> dict:
+                     totals: dict, n_spec: int, n_tasks: int) -> dict:
         from collections import Counter
 
         link_dec = _link_decision_counts(totals)
@@ -1449,6 +1483,10 @@ class CrawlEngine:
                 "links_gate": round(spans["sink"] + spans["links"], 3)},
             "spans": spans,
             "spec_rows": int(n_spec),
+            # Ray tasks the fetch_validate stage submitted: 0 inline and
+            # under politeness (a Ray Data job), else the fetch tasks plus
+            # one keep+flag task per consumed speculative table
+            "fetch_tasks": int(n_tasks),
             "inline": plan.inline,
             "resolve_route": plan.resolve_route,
             "link_route": link_route,
@@ -1486,6 +1524,7 @@ class CrawlEngine:
             interacting_seqs_distributed, resolve_wave_split)
 
         cfg = self.config
+        validated = rd.from_arrow_refs(validated)
         meta = validated.select_columns(
             ["seq", "status", "integrity_ok", "store_text_dup",
              "store_image_dup"]).to_pandas()

@@ -111,23 +111,46 @@ def build_postings(
     return tfw.map_batches(mul, batch_format="pandas")
 
 
+def _parquet_rows(path: str) -> int:
+    """Rows of the parquet files in directory ``path``, from their footers."""
+    return sum(pq.read_metadata(os.path.join(path, f)).num_rows
+               for f in os.listdir(path) if f.endswith(".parquet"))
+
+
+def _count_ids(path: str, id_col: str, ids: np.ndarray) -> int:
+    """How many ``id_col`` values of the parquet files in ``path`` are in
+    the sorted array ``ids`` — read one batch at a time, on the driver."""
+    import pyarrow.dataset as pads
+
+    return sum(int(np.isin(b.column(0).to_numpy(), ids).sum())
+               for b in pads.dataset(path, format="parquet").to_batches(
+                   columns=[id_col], use_threads=False))
+
+
 def write_index(
     postings: Dataset, out_dir: str, docs: Dataset | None = None,
     id_col: str = "doc_id", url_col: str = "url",
 ) -> dict:
     """Persist the token-sorted index (S5) + doc map (S6) + analytics
     (A4-A6).  Row groups are token-ordered → a term probe touches only the
-    row groups whose [min,max] token range covers it."""
+    row groups whose [min,max] token range covers it.
+
+    The summary's ``n_docs`` is the corpus size idf uses: with a doc map,
+    its row count — every document, as ``build_postings`` counts them,
+    tokens or not; without one the index knows only the docs with ≥1
+    token, and counts those (``n_docs_from`` says which)."""
     os.makedirs(out_dir, exist_ok=True)
     sorted_ds = postings.sort("token")  # O1 global sort (range shuffle)
     idx_dir = os.path.join(out_dir, "postings")
     storage.replace_dir(idx_dir, lambda tmp: sorted_ds.write_parquet(
         tmp, min_rows_per_file=200_000))
 
+    n_docs = None
     if docs is not None and url_col:
         doc_map = docs.select_columns([id_col, url_col])
-        storage.replace_dir(os.path.join(out_dir, "doc_map"),
-                            doc_map.write_parquet)
+        dm_dir = os.path.join(out_dir, "doc_map")
+        storage.replace_dir(dm_dir, doc_map.write_parquet)
+        n_docs = _parquet_rows(dm_dir)
 
     # analytics (reference index_construction.py:246-250)
     files = [os.path.join(idx_dir, f) for f in os.listdir(idx_dir)]
@@ -146,23 +169,26 @@ def write_index(
     from searchengine_ray.stages.relational import pre_aggregate
 
     def write_df(tmp: str) -> tuple[int, int]:
-        # (unique tokens, docs); a corpus that tokenizes to nothing gets a
-        # typed empty df table
+        # (unique tokens, docs with ≥1 token, or the doc map's count); a
+        # corpus that tokenizes to nothing gets a typed empty df table
         if not n_postings:
             os.makedirs(tmp)
             pq.write_table(pa.table({"token": pa.array([], pa.string()),
                                      "df": pa.array([], pa.int64())}),
                            os.path.join(tmp, "empty.parquet"))
-            return 0, 0
+            return 0, n_docs or 0
         written = rd.read_parquet(idx_dir, columns=["doc_id", "token"])
         df_ds = pre_aggregate(written, ["token"],
                               {"df": (None, "count")}).materialize()
-        n_docs = pre_aggregate(
-            rd.read_parquet(idx_dir, columns=["doc_id"]),
-            ["doc_id"], {"c": (None, "count")}).count()
+        n = n_docs
+        if n is None:
+            n = pre_aggregate(
+                rd.read_parquet(idx_dir, columns=["doc_id"]),
+                ["doc_id"], {"c": (None, "count")}).count()
         df_ds.write_parquet(tmp)
-        return df_ds.count(), n_docs
+        return df_ds.count(), n
 
+    n_from = "postings" if n_docs is None else "doc_map"
     n_unique, n_docs = storage.replace_dir(
         os.path.join(out_dir, "token_df"), write_df)
 
@@ -170,7 +196,8 @@ def write_index(
         "n_postings": int(n_postings),
         "n_unique_tokens": int(n_unique),  # A5
         "index_size_kb": round(size_kb, 1),  # A6
-        "n_docs": int(n_docs),  # docs with ≥1 token (merge_index contract)
+        "n_docs": int(n_docs),  # idf's N (merge_index reads it back)
+        "n_docs_from": n_from,
     }
     storage.write_json_atomic(summary, os.path.join(out_dir, "summary.json"))
     return summary
@@ -202,6 +229,11 @@ def merge_index(
     (tokenize/lemmatize dominates the rebuild; the rescale is one
     columnar multiply).  Result ≡ a from-scratch rebuild of the merged
     corpus (that equivalence IS the oracle gate).
+
+    n' follows ``write_index``: with a doc map (``url_col`` given and the
+    index has one) it is the merged doc map's row count, every document
+    as the rebuild counts it — old count − replaced ids + delta ids, no
+    Ray job; without one, the docs with ≥1 token.
 
     Scale shape: delta ids broadcast once (``ray.put``, capped at
     ``max_delta_ids`` — a delta is incremental by contract); df'/n' come
@@ -275,7 +307,9 @@ def merge_index(
     fast = (os.path.isdir(df_dir) and "n_docs" in old_summary
             and old_summary.get("n_unique_tokens", 0) <= broadcast_vocab_limit)
 
-    idf: dict | None = None
+    dm_dir = os.path.join(out_dir, "doc_map")
+    writes_map = url_col is not None and os.path.isdir(dm_dir)
+    removed = None
     if fast:
         def only_replaced(df: pd.DataFrame) -> pd.DataFrame:
             ids = ray.get(ids_ref)
@@ -296,21 +330,32 @@ def merge_index(
         if len(delta_df):
             s = s.add(delta_df.set_index("token")["df"], fill_value=0)
         s = s[s > 0]
-        n_docs = (int(old_summary["n_docs"])
-                  - int(removed[id_col].nunique() if len(removed) else 0)
-                  + len(delta_ids_df))
-        idf = {t: float(np.log(n_docs / d)) for t, d in s.items()}
     else:
         combined = combined.materialize()  # consumed 3× below
         df_ds = pre_aggregate(combined.select_columns(["doc_id", "token"]),
                               ["token"], {"df": (None, "count")}).materialize()
+        n_vocab = df_ds.count()
+
+    # n': the merged corpus's document count, on write_index's basis
+    if writes_map:  # every document: the merged doc map's rows
+        n_docs = (_parquet_rows(dm_dir)
+                  - _count_ids(dm_dir, id_col, delta_id_arr)
+                  + len(delta_id_arr))
+    elif fast and old_summary.get("n_docs_from", "postings") == "postings":
+        n_docs = (int(old_summary["n_docs"])
+                  - int(removed[id_col].nunique() if len(removed) else 0)
+                  + len(delta_ids_df))
+    else:  # docs with ≥1 token, counted over the merged postings
         n_docs = pre_aggregate(combined.select_columns(["doc_id"]),
                                ["doc_id"], {"c": (None, "count")}).count()
-        n_vocab = df_ds.count()
-        if n_vocab <= broadcast_vocab_limit:
-            df_tbl = df_ds.to_pandas()
-            idf = {t: float(np.log(n_docs / d))
-                   for t, d in zip(df_tbl["token"], df_tbl["df"])}
+
+    idf: dict | None = None
+    if fast:
+        idf = {t: float(np.log(n_docs / d)) for t, d in s.items()}
+    elif n_vocab <= broadcast_vocab_limit:
+        df_tbl = df_ds.to_pandas()
+        idf = {t: float(np.log(n_docs / d))
+               for t, d in zip(df_tbl["token"], df_tbl["df"])}
 
     if idf is not None:
         idf_ref = ray.put(idf)
@@ -341,8 +386,7 @@ def merge_index(
     # both sides as metadata-free Arrow blocks: one block format, so the
     # union's schema never drifts between pandas- and Arrow-typed blocks
     docs_for_map = None
-    dm_dir = os.path.join(out_dir, "doc_map")
-    if url_col is not None and os.path.isdir(dm_dir):
+    if writes_map:
         def map_rows(drop_old: bool):
             def doc_map_rows(t: pa.Table) -> pa.Table:
                 if drop_old:

@@ -3682,8 +3682,9 @@ def q_index_merge(sf_dir: str):
     ``index_pipeline.merge_index`` — old postings rescale tf×idf' without
     re-tokenizing.  The oracle computes the postings of the final merged
     corpus from scratch in SQL; the merge must equal the rebuild.
-    (n_docs here = docs with ≥1 token — merge_index's corpus-count
-    contract; this corpus has no empty docs so it equals count(*).)"""
+    (no doc map is written, so n_docs here = docs with ≥1 token —
+    merge_index's corpus count without a doc map; this corpus has no empty
+    docs so it equals count(*).)"""
     import tempfile
 
     from searchengine_ray.pipelines.index_pipeline import (

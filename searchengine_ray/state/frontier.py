@@ -63,14 +63,25 @@ def empty_pool_frame() -> pd.DataFrame:
 
 def _slice_frame(pool: pd.DataFrame, per_host_budget: int | None,
                  cap: int | None) -> pd.DataFrame:
-    """The canonical slice order on an in-memory frame (see module doc)."""
-    pool = pool.sort_values(["priority", "seq"], ascending=[False, True],
-                            kind="stable")
-    take = (pool.groupby("host", sort=False).head(per_host_budget)
-            if per_host_budget is not None else pool)
+    """The canonical slice order on an in-memory frame (see module doc):
+    the rows of ``pool`` (index labels kept) sorted by (priority DESC, seq
+    ASC), each host's first ``per_host_budget``, then the first ``cap``,
+    by one lexsort and a per-host rank in numpy."""
+    # seq is unique, so this order is total; NaN priorities sort last, as
+    # in pandas' sort_values
+    order = np.lexsort((pool["seq"].to_numpy(),
+                        -pool["priority"].to_numpy(dtype=np.float64)))
+    if per_host_budget is not None:
+        codes = pd.factorize(pool["host"].to_numpy()[order])[0]
+        by_host = np.argsort(codes, kind="stable")  # slice order within host
+        starts = np.zeros(codes.max(initial=-1) + 2, dtype=np.int64)
+        np.cumsum(np.bincount(codes), out=starts[1:])
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[by_host] = np.arange(len(order)) - starts[codes[by_host]]
+        order = order[rank < per_host_budget]
     if cap is not None:
-        take = take.head(max(0, cap))
-    return take
+        order = order[:max(0, cap)]
+    return pool.iloc[order]
 
 
 def _add_dataset(pool, ds, batch_size: int = 65536) -> None:

@@ -251,6 +251,91 @@ def test_driver_resolve_reads_materialized_blocks(ray_session, store,
     assert "_resolve_wave_driver" not in callers, callers
 
 
+def test_distributed_wave_rows_equal_inline(ray_session, monkeypatch):
+    """A distributed wave's validated rows (the fetch tasks' and the
+    keep+flag tasks' blocks) equal the inline route's on the same wave,
+    fetched afresh on the driver and flagged by the same store probe:
+    every column, ``cands`` and both store flags included, by seq.  A
+    budgeted crawl of a store with many near-duplicates, so speculation
+    serves rows and some of them are store duplicates; both store modes;
+    and an ``extra_link_filter`` from this module, which the tasks get by
+    value."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    from searchengine_ray.pipelines import crawl as crawl_mod
+
+    dup_store = make_store(n_pages=80, seed=42, frac_near_dup_caption=0.25,
+                           frac_near_dup_image=0.25)
+    orig = crawl_mod.CrawlEngine._fetch_validate_distributed
+    seen = []
+
+    def checked(self, wave_df):
+        covered = self._take_speculated(wave_df)[2]
+        blocks, n_spec, n_tasks = orig(self, wave_df)
+        got = pa.concat_tables(ray.get(blocks))
+        spec, self._spec = self._spec, []  # inline: fetch every row anew
+        try:
+            want, _, _ = self._fetch_validate_inline(wave_df)
+        finally:
+            self._spec = spec
+        want = crawl_mod._with_store_flags(want, self._store_probe())
+        by_seq = [("seq", "ascending")]
+        assert got.sort_by(by_seq).equals(want.sort_by(by_seq))
+        assert got.num_rows == len(wave_df)
+        served = crawl_mod._keep_rows(got, covered)
+        seen.append((n_spec, n_tasks, tuple(
+            pc.sum(served[c]).as_py() or 0
+            for c in ("store_text_dup", "store_image_dup"))))
+        return blocks, n_spec, n_tasks
+
+    monkeypatch.setattr(crawl_mod.CrawlEngine, "_fetch_validate_distributed",
+                        checked)
+    for shards in (None, 2):
+        seen.clear()
+        config = _config(dup_store, inline_wave_threshold=0,
+                         per_host_wave_budget=2, extra_link_filter=_no_blog,
+                         content_probe_shards=shards)
+        res = _run_engine(dup_store, config)
+        _assert_match(res, crawl_oracle(dup_store, config))
+        assert len(seen) == len(res.metrics)
+        assert [m["fetch_tasks"] for m in res.metrics] == [t for _, t, _ in seen]
+        assert all(t > 0 for _, t, _ in seen)
+        assert sum(n for n, _, _ in seen) > 0  # speculation served rows
+        # ... and some of them were flagged as text and as image duplicates
+        assert all(sum(f[i] for _, _, f in seen) > 0 for i in (0, 1))
+
+
+def test_distributed_fetch_runs_no_all_to_all(ray_session, store, monkeypatch):
+    """Distributed waves fetch in plain Ray tasks: no ``repartition``
+    exchange and no ``union`` with the speculative rows — on a budgeted
+    crawl (speculation serves rows) whose resolve and link gate run on
+    the driver, no Dataset is built at all."""
+    import sys
+
+    import ray.data as rd
+
+    callers = []
+
+    def spy(name):
+        method = getattr(rd.Dataset, name)
+
+        def wrapped(self, *args, **kwargs):
+            callers.append((name, sys._getframe(1).f_code.co_name))
+            return method(self, *args, **kwargs)
+        return wrapped
+
+    for name in ("repartition", "union"):
+        monkeypatch.setattr(rd.Dataset, name, spy(name))
+    config = _config(store, inline_wave_threshold=0, per_host_wave_budget=3)
+    res = _run_engine(store, config)
+    _assert_match(res, crawl_oracle(store, config))
+    assert not any(m["inline"] for m in res.metrics)
+    assert sum(m["spec_rows"] for m in res.metrics) > 0
+    assert callers == []
+
+
 def test_checkpoint_resume_distributed_resolve(ray_session, store, tmp_path):
     """The giant-wave delta (content_delta_dir, distributed parquet write)
     must replay into a resumed engine bit-identically — resuming into
@@ -630,7 +715,8 @@ def test_crawl_report_one_row_per_wave(ray_session, store, tmp_path):
     cols = header.split()
     for c in ("wave", "fetched", "inline", "resolve_route", "link_route",
               "slice_s", "fetch_validate_s", "resolve_s", "links_s",
-              "spec_rows", "page_accept", "link_accept", "gate_dedup_rate",
+              "spec_rows", "fetch_tasks", "page_accept", "link_accept",
+              "gate_dedup_rate",
               "gate_at", "handoff_rows", "driver_rss_mb"):
         assert c in cols, (c, cols)
     assert [r.split()[0] for r in rows] == ["0", "1", "2"]
@@ -767,7 +853,11 @@ def test_no_speculation_under_politeness(ray_session, store, monkeypatch,
         def remote(*args, **kwargs):
             raise AssertionError("speculative fetch launched under politeness")
 
-    monkeypatch.setattr(crawl_mod, "_spec_fetch_validate", NoSpeculation)
+    # speculation submits the fetch task every distributed wave shares,
+    # which the paced route never runs
+    monkeypatch.setattr(crawl_mod, "_fetch_validate_task", NoSpeculation)
+    monkeypatch.setattr(crawl_mod.CrawlEngine, "_launch_speculation",
+                        NoSpeculation.remote)
     config = _config(store, politeness_delay=0.002, per_host_wave_budget=3,
                      inline_wave_threshold=inline_threshold, max_waves=3)
     res = _run_engine(store, config)

@@ -233,3 +233,72 @@ def test_dihedral_min_phash_survives_lossless_roundtrip():
     # PNG is lossless: a re-encoded rotated copy hashes identically
     back = decode(encode(rot, "png"), "png")
     assert dihedral_min_phash(back) == dihedral_min_phash(px)
+
+
+def _decode_jpeg_reference(data: bytes) -> np.ndarray:
+    """The straightforward DJPG decode ``decode_jpeg`` must equal bit for
+    bit: per channel dequantize with the tiled table, inverse DCT as two
+    full-plane GEMMs, + 128; then the full-plane BT.601 color conversion,
+    round, clip and crop."""
+    import struct
+    import zlib
+
+    from searchengine_ray.functions.imagecodec import (
+        _DCT8, _dct2_blocks, _quant_tables, _tile_table)
+
+    w, h, quality = struct.unpack(">IIB", data[4:13])
+    tl, tc = _quant_tables(quality)
+    hh, ww = h + (-h % 8), w + (-w % 8)
+    arr = np.frombuffer(zlib.decompress(data[13:]), dtype=np.int16)
+    arr = arr.reshape(3, hh, ww).astype(np.float64)
+    chans = [_dct2_blocks(arr[ci] * _tile_table(tl if ci == 0 else tc, hh, ww),
+                          _DCT8.T) + 128.0 for ci in range(3)]
+    ycc = np.stack(chans, axis=-1)
+    y, cb, cr = ycc[..., 0], ycc[..., 1] - 128.0, ycc[..., 2] - 128.0
+    rgb = np.stack([y + 1.402 * cr, y - 0.344136 * cb - 0.714136 * cr,
+                    y + 1.772 * cb], axis=-1)
+    return np.clip(np.round(rgb), 0, 255).astype(np.uint8)[:h, :w]
+
+
+def _djpg_payloads() -> list[bytes]:
+    from searchengine_ray.functions.imagecodec import encode_jpeg
+    from searchengine_ray.sources.fixtures import make_store
+
+    out = []
+    for seed, (lo, hi) in ((0, (1, 40)), (1, (96, 160)), (2, (8, 64))):
+        st = make_store(n_pages=60, seed=seed, img_min=lo, img_max=hi)
+        out += [r["bytes"] for r in st.pages.values()
+                if r["fmt"] == "jpeg" and r["bytes"]]
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        h, w = rng.integers(1, 200, 2)
+        out.append(encode_jpeg(rng.integers(0, 256, (h, w, 3), dtype=np.uint8)))
+    return out
+
+
+def test_decode_jpeg_bit_identical_to_reference():
+    """decode_jpeg's workspace formulation equals the reference decode
+    bit for bit, on fixture payloads of several size ranges and on noise
+    images of 1-199 px edges (every padding remainder), also when two
+    threads decode at once (per-thread workspaces)."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from searchengine_ray.functions.imagecodec import decode_jpeg
+
+    payloads = _djpg_payloads()
+    want = [_decode_jpeg_reference(p) for p in payloads]
+    assert len(payloads) > 100
+    for p, ref in zip(payloads, want):
+        got = decode_jpeg(p)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+
+    def run(order):
+        return [(i, decode_jpeg(payloads[i])) for i in order]
+
+    idx = list(range(len(payloads)))
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(run, [idx * 3, idx[::-1] * 3]))
+    for res in results:
+        for i, got in res:
+            np.testing.assert_array_equal(got, want[i])

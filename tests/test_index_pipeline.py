@@ -222,6 +222,40 @@ def test_merge_index_removal_via_empty_text(ray_session, tmp_path):
     assert summary["n_docs"] == 4                   # 0,2,3,4 — not 5
 
 
+
+def test_merge_index_counts_tokenless_docs_like_rebuild(ray_session, tmp_path):
+    """A document that tokenizes to nothing still counts in idf's N, as
+    in the rebuild (``tfidf_postings``: docs.count(); the SQL oracle:
+    count(*) FROM documents): with a doc map the merge's N is the merged
+    doc map's row count (4 here, not the 3 docs with tokens), and the
+    merged tf_idf equals the rebuild's."""
+    from searchengine_ray.pipelines.index_pipeline import merge_index
+
+    base = pd.DataFrame({"doc_id": np.array([1, 2, 3], dtype=np.int64),
+                         "text": ["apple banana", "banana cherry", "!!! ..."],
+                         "url": ["u1", "u2", "u3"]})
+    delta = pd.DataFrame({"doc_id": np.array([4], dtype=np.int64),
+                          "text": ["apple durian"], "url": ["u4"]})
+    out = str(tmp_path / "idx")
+    first = write_index(build_postings(rd.from_pandas(base), mode="simple"),
+                        out, docs=rd.from_pandas(base))
+    assert first["n_docs"] == 3 and first["n_docs_from"] == "doc_map"
+    summary = merge_index(out, rd.from_pandas(delta), mode="simple",
+                          url_col="url")
+    assert summary["n_docs"] == 4
+
+    merged = (load_postings(out).to_pandas()
+              .sort_values(["doc_id", "token"]).reset_index(drop=True))
+    rebuilt = (build_postings(rd.from_pandas(pd.concat([base, delta])),
+                              mode="simple").to_pandas()
+               .sort_values(["doc_id", "token"]).reset_index(drop=True))
+    assert merged[["doc_id", "token"]].equals(rebuilt[["doc_id", "token"]])
+    np.testing.assert_allclose(merged["tf_idf"], rebuilt["tf_idf"],
+                               rtol=0, atol=1e-12)
+    apple = merged[merged["token"] == "apple"].set_index("doc_id")["tf_idf"]
+    assert np.isclose(apple[1], 0.5 * np.log(4 / 2))  # N = 4, df = 2
+
+
 # --- search_index routes: driver-side slice vs distributed boolean_search ---
 
 ROUTE_QUERIES = ["cat AND dog", "cat OR dog OR bird OR fish", "dog bird",

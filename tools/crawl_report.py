@@ -2,8 +2,9 @@
 
 Reads ``<checkpoint_dir>/metrics/wave=N.json`` (written by every
 checkpointed wave) and prints: the wave, pages fetched, whether it ran
-inline, the resolve and link routes, every stage span and the speculation
-hits, the page and link decision counts, the host gate's cumulative dedup
+inline, the resolve and link routes, every stage span, the speculation
+hits and the Ray tasks the fetch stage submitted (``fetch_tasks``: one per
+row chunk plus one per consumed speculative table; 0 inline), the page and link decision counts, the host gate's cumulative dedup
 rate over every shard's decision counters (dup + trap over accept + dup +
 trap, from ``shard_decisions``), where the host gate ran (``driver``
 until the gate-host processes are handed the gate state, then ``hosts``)
@@ -40,6 +41,7 @@ def wave_rows(checkpoint_dir: str) -> list[dict]:
                "link_route": m["link_route"]["route"]}
         row.update({f"{k}_s": round(v, 3) for k, v in m["spans"].items()})
         row["spec_rows"] = m["spec_rows"]
+        row["fetch_tasks"] = m.get("fetch_tasks", "-")  # absent before tasks
         row.update({f"page_{k}": v for k, v in m["page_decisions"].items()})
         row.update({f"link_{k}": v for k, v in m["link_decisions"].items()})
         if "shard_decisions" in m:  # absent from format-2 checkpoints
