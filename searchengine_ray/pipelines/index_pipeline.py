@@ -49,6 +49,17 @@ from searchengine_ray.stages import text as text_stage
 DRIVER_ROWS_LIMIT = 2_000_000
 
 
+def _postings_block(t: pa.Table, tf_idf) -> pa.Table:
+    """(doc_id, token, tf, weight) rows and their ``tf_idf`` as the block
+    ``write_index`` sorts.  The map that returns it must run with
+    ``batch_format="pyarrow"``: Ray's sort inherits the batch format of
+    the map before it, and a pandas one turns every sorted block pandas —
+    parquet files with a ``pandas`` metadata key, and a columnless pandas
+    block for each empty range partition."""
+    return pa.table({"doc_id": t["doc_id"], "token": t["token"],
+                     "tf": t["tf"], "weight": t["weight"], "tf_idf": tf_idf})
+
+
 def build_postings(
     docs: Dataset,
     text_col: str = "text",
@@ -65,11 +76,11 @@ def build_postings(
     if not html:
         postings = text_stage.tfidf_postings(docs, mode=mode, round_to=None)
 
-        def add_weight(df: pd.DataFrame) -> pd.DataFrame:
-            df["weight"] = 1.0
-            return df[["doc_id", "token", "tf", "weight", "tf_idf"]]
+        def add_weight(t: pa.Table) -> pa.Table:
+            t = t.append_column("weight", pa.array(np.ones(t.num_rows)))
+            return _postings_block(t, t["tf_idf"])
 
-        return postings.map_batches(add_weight, batch_format="pandas")
+        return postings.map_batches(add_weight, batch_format="pyarrow")
 
     # HTML path: extract text + tag weights in one pass per doc
     class HtmlTokenize:
@@ -103,12 +114,12 @@ def build_postings(
 
     idf_ref = ray.put(idf)
 
-    def mul(dfr: pd.DataFrame) -> pd.DataFrame:
+    def mul(t: pa.Table) -> pa.Table:
         table = ray.get(idf_ref)
-        dfr["tf_idf"] = dfr["tf"].to_numpy() * np.array([table[t] for t in dfr["token"]])
-        return dfr[["doc_id", "token", "tf", "weight", "tf_idf"]]
+        idf_v = np.array([table[x] for x in t["token"].to_pylist()])
+        return _postings_block(t, t["tf"].to_numpy() * idf_v)
 
-    return tfw.map_batches(mul, batch_format="pandas")
+    return tfw.map_batches(mul, batch_format="pyarrow")
 
 
 def _parquet_rows(path: str) -> int:
@@ -266,27 +277,33 @@ def merge_index(
     delta_id_arr = np.sort(raw_ids[id_col].to_numpy(np.int64))
     ids_ref = ray.put(delta_id_arr)
 
-    def drop_replaced(df: pd.DataFrame) -> pd.DataFrame:
-        ids = ray.get(ids_ref)  # sorted; plasma-local after first touch
-        keep = ~np.isin(df[id_col].to_numpy(np.int64), ids)
-        return df[keep]
-
-    old_kept = (load_postings(out_dir)
-                .map_batches(drop_replaced, batch_format="pandas"))
-
     # --- unified (doc_id, token, tf, weight) postings, tf_idf pending ----
-    def old_project(df: pd.DataFrame) -> pd.DataFrame:
-        return df[["doc_id", "token", "tf", "weight"]]
+    def old_rows(t: pa.Table) -> pa.Table:
+        ids = ray.get(ids_ref)  # sorted; plasma-local after first touch
+        keep = ~np.isin(t[id_col].to_numpy(), ids)
+        return t.filter(keep).select(["doc_id", "token", "tf", "weight"])
 
-    def delta_project(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype(np.int64),
-            "token": df["token"],
-            "tf": df["cnt"].to_numpy() / df["doc_len"].to_numpy(),
-            "weight": np.ones(len(df), dtype=np.float64)})
+    def delta_rows(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "doc_id": t["doc_id"].cast(pa.int64()), "token": t["token"],
+            "tf": t["cnt"].to_numpy() / t["doc_len"].to_numpy(),
+            "weight": np.ones(t.num_rows)})
 
-    combined = old_kept.map_batches(old_project, batch_format="pandas").union(
-        delta_tc.map_batches(delta_project, batch_format="pandas"))
+    def postings(finish=lambda t: t) -> Dataset:
+        """The old postings minus the replaced docs ∪ the delta's, each
+        side ONE map ending in ``finish``: a map fed a 0-row block emits a
+        columnless block, so a map after the drop would warn of it."""
+        def old_side(t: pa.Table) -> pa.Table:
+            return finish(old_rows(t))
+
+        def delta_side(t: pa.Table) -> pa.Table:
+            return finish(delta_rows(t))
+
+        return (load_postings(out_dir)
+                .map_batches(old_side, batch_format="pyarrow")
+                .union(delta_tc.map_batches(delta_side, batch_format="pyarrow")))
+
+    combined = postings()
 
     # --- global df' and n' over the merged corpus ------------------------
     # FAST PATH (the scale story): the index persists its (token, df) side
@@ -360,27 +377,21 @@ def merge_index(
     if idf is not None:
         idf_ref = ray.put(idf)
 
-        def rescale(df: pd.DataFrame) -> pd.DataFrame:
+        def rescale(t: pa.Table) -> pa.Table:
             table = ray.get(idf_ref)
-            idf_v = np.array([table[t] for t in df["token"]])
-            df["tf_idf"] = df["tf"].to_numpy() * idf_v
-            return df[["doc_id", "token", "tf", "weight", "tf_idf"]]
+            idf_v = np.array([table[x] for x in t["token"].to_pylist()])
+            return _postings_block(t, t["tf"].to_numpy() * idf_v)
 
-        merged = combined.map_batches(rescale, batch_format="pandas")
+        merged = (postings(rescale) if fast
+                  else combined.map_batches(rescale, batch_format="pyarrow"))
     else:  # web-scale vocabulary: distributed idf attach
         joined = hash_join(combined, df_ds, on="token")
 
-        def rescale_join(df: pd.DataFrame) -> pd.DataFrame:
-            idf_v = np.log(n_docs / df["df"].to_numpy(dtype=np.float64))
-            out = pd.DataFrame({
-                "doc_id": df["doc_id"].to_numpy(),
-                "token": df["token"].to_numpy(),
-                "tf": df["tf"].to_numpy(),
-                "weight": df["weight"].to_numpy()})
-            out["tf_idf"] = out["tf"].to_numpy() * idf_v
-            return out
+        def rescale_join(t: pa.Table) -> pa.Table:
+            idf_v = np.log(n_docs / t["df"].to_numpy().astype(np.float64))
+            return _postings_block(t, t["tf"].to_numpy() * idf_v)
 
-        merged = joined.map_batches(rescale_join, batch_format="pandas")
+        merged = joined.map_batches(rescale_join, batch_format="pyarrow")
 
     # --- doc map: old minus replaced, plus the delta's ------------------
     # both sides as metadata-free Arrow blocks: one block format, so the

@@ -25,7 +25,17 @@ The scale idioms (SURVEY.md §4):
     pandas kernel reads), Arrow tables of the one widened schema for
     several — never pandas schema metadata on an Arrow block (a dict
     there makes ``pa.Schema`` unhashable, and Ray then skips its
-    same-schema fast path on every block concat).
+    same-schema fast path on every block concat);
+  - one route decision, made here and nowhere else: the tagged input is
+    materialized (the all-to-all is a barrier that holds it anyway), and
+    at or below ``DRIVER_SHUFFLE_ROWS`` rows the driver route ``ray.get``s
+    its blocks and runs the kernel ONCE over all rows, as one bucket —
+    the raw pandas blocks for one input (never through Arrow, which turns
+    ndarray cells into tensor columns), the blocks read as Arrow and
+    concatenated with permissive promotion for several.  Zero rows call
+    no kernel on either route and give the empty, schemaless Dataset.
+    Above the limit the all-to-all runs as before.  Each call logs one
+    DEBUG record with the route, the rows and the limit.
 - ``pre_aggregate``: a bare ``groupby(k).aggregate(...)`` shuffles every row;
   this helper combines inside ``map_batches`` first (one row per key per
   batch) and shuffles only the partials — the reduce-side analog of the
@@ -38,6 +48,7 @@ The scale idioms (SURVEY.md §4):
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Sequence
 
 import numpy as np
@@ -47,6 +58,12 @@ import ray
 from ray.data import Dataset
 
 _PARTIAL_OPS = {"sum", "count", "min", "max"}
+
+# Most rows a co-shuffle runs its kernel over on the driver, once, instead
+# of through the all-to-all: below it the shuffle's fixed cost dominates.
+DRIVER_SHUFFLE_ROWS = 200_000
+
+log = logging.getLogger(__name__)
 
 
 def default_num_buckets() -> int:
@@ -130,7 +147,11 @@ def _co_shuffle(inputs, keys: Sequence[str], kernel,
     input's own columns, in its own order.  Either way the bucket is
     ``_hash_bucket`` of the (widened) keys, one groupby on the bucket
     column co-locates the rows, ``kernel`` returns a ``pd.DataFrame`` or
-    ``pa.Table``, and no shuffled block carries pandas schema metadata."""
+    ``pa.Table``, and no shuffled block carries pandas schema metadata.
+
+    Up to ``DRIVER_SHUFFLE_ROWS`` input rows there is no all-to-all: the
+    driver runs ``kernel`` once over every row, as if there were one
+    bucket (see the module docstring)."""
     import pyarrow.compute as pc
 
     nb = num_buckets if num_buckets is not None else default_num_buckets()
@@ -189,7 +210,32 @@ def _co_shuffle(inputs, keys: Sequence[str], kernel,
                  for i, ds in enumerate(inputs)]
         fmt, both = "pyarrow", sides[0].union(*sides[1:])
 
-    return both.groupby("_bucket").map_groups(per_bucket, batch_format=fmt)
+    # the all-to-all is a barrier that holds all of ``both`` anyway;
+    # materialized, its row count is block metadata
+    both = both.materialize()
+    rows = both.count()
+    driver = rows <= DRIVER_SHUFFLE_ROWS
+    log.debug("co_shuffle route=%s rows=%d limit=%d",
+              "driver" if driver else "all_to_all", rows, DRIVER_SHUFFLE_ROWS)
+    if not driver:
+        return both.groupby("_bucket").map_groups(per_bucket, batch_format=fmt)
+    import ray.data as rd
+    from ray.data.block import BlockAccessor
+
+    if not rows:  # no bucket, no kernel call: the empty, schemaless result
+        return rd.from_items([])
+    blocks = [BlockAccessor.for_block(b) for b in ray.get(
+        [r for bundle in both.iter_internal_ref_bundles()
+         for r in bundle.block_refs])]
+    blocks = [b for b in blocks if b.num_rows()]
+    if fmt == "pandas":  # the raw frames: Arrow would make tensor columns
+        out = per_bucket(pd.concat([b.to_pandas() for b in blocks],
+                                   ignore_index=True))
+    else:
+        out = per_bucket(pa.concat_tables([b.to_arrow() for b in blocks],
+                                          promote_options="permissive"))
+    return (rd.from_pandas(out) if isinstance(out, pd.DataFrame)
+            else rd.from_arrow(out))
 
 
 def pre_aggregate(
@@ -417,7 +463,8 @@ def hash_semi_anti_join(
     num_buckets: int | None = None,
 ) -> Dataset:
     """Distributed SEMI (anti=False) / ANTI (anti=True) join of two LARGE
-    sides on one key — ONE all-to-all total.
+    sides on one key — at most ONE all-to-all (none at or below
+    ``DRIVER_SHUFFLE_ROWS`` rows).
 
     Unlike ``hash_join`` the probe side contributes only key PRESENCE, so:
     the right side is reduced map-side to per-batch distinct keys (no

@@ -67,12 +67,14 @@ def asof_join(
 
     def join_bucket(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
         lg = lg.sort_values(left_ts, kind="stable")
-        rg = rg.sort_values(right_ts, kind="stable")
-        if rg.empty:
+        if right_ts not in rg.columns:  # a right side without rows or schema
             out = lg.copy()
             for c in value_cols:
                 out[c] = pd.NA
             return out
+        # an empty rg still merges: its unmatched rows come out NaN with
+        # the dtypes a bucket that has right rows gives them
+        rg = rg.sort_values(right_ts, kind="stable")
         return pd.merge_asof(lg, rg, left_on=left_ts, right_on=right_ts,
                              by=key, direction="backward", suffixes=("", "_r"))
 

@@ -256,6 +256,66 @@ def test_merge_index_counts_tokenless_docs_like_rebuild(ray_session, tmp_path):
     assert np.isclose(apple[1], 0.5 * np.log(4 / 2))  # N = 4, df = 2
 
 
+@pytest.mark.parametrize("route", ["side_table", "hash_join", "no_side_table"])
+def test_merge_index_writes_arrow_postings(ray_session, tmp_path, route):
+    """On every merge route the index writers hand ``write_index``'s sort
+    metadata-free Arrow blocks: the 4-doc base + 2-doc delta merge logs no
+    block-schema change but Ray's own columnless empty blocks (an empty
+    range partition, a map over a 0-row split block), no postings file
+    carries a ``pandas`` metadata key, and the merge equals a rebuild."""
+    import logging
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from searchengine_ray.pipelines.index_pipeline import merge_index
+
+    base = pd.DataFrame({"doc_id": np.arange(4, dtype=np.int64),
+                         "text": ["cat dog", "dog bird", "cat cat fish",
+                                  "bird fish"],
+                         "url": ["u0", "u1", "u2", "u3"]})
+    delta = pd.DataFrame({"doc_id": np.array([1, 4], dtype=np.int64),
+                          "text": ["bird bird snail", "cat snail"],
+                          "url": ["u1b", "u4"]})
+    out = str(tmp_path / "idx")
+    write_index(build_postings(rd.from_pandas(base), mode="simple"), out,
+                docs=rd.from_pandas(base))
+    if route == "no_side_table":
+        shutil.rmtree(os.path.join(out, "token_df"))
+
+    seen: list[str] = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    handler = Capture(logging.WARNING)
+    logger = logging.getLogger("ray.data")
+    logger.addHandler(handler)
+    try:
+        merge_index(out, rd.from_pandas(delta), mode="simple", url_col="url",
+                    broadcast_vocab_limit=0 if route == "hash_join" else 2**20)
+    finally:
+        logger.removeHandler(handler)
+    changed = [m for m in seen if "different schema" in m]
+    assert all("new schema: . " in m for m in changed), changed
+
+    idx_dir = os.path.join(out, "postings")
+    files = [os.path.join(idx_dir, f) for f in os.listdir(idx_dir)]
+    assert files
+    for f in files:
+        assert b"pandas" not in (pq.read_schema(f).metadata or {}), f
+
+    final = pd.concat([base[base.doc_id != 1], delta], ignore_index=True)
+    merged = (load_postings(out).to_pandas()
+              .sort_values(["doc_id", "token"]).reset_index(drop=True))
+    rebuilt = (build_postings(rd.from_pandas(final), mode="simple")
+               .to_pandas()
+               .sort_values(["doc_id", "token"]).reset_index(drop=True))
+    pd.testing.assert_frame_equal(merged, rebuilt, check_exact=False,
+                                  rtol=0, atol=1e-12)
+
+
 # --- search_index routes: driver-side slice vs distributed boolean_search ---
 
 ROUTE_QUERIES = ["cat AND dog", "cat OR dog OR bird OR fish", "dog bird",

@@ -55,7 +55,7 @@ def _compare(name, ray_df, sql_df):
             assert (av == bv).all(), f"{name}.{c}: {av[:5]} vs {bv[:5]}"
 
 
-def test_all_sql_backed_queries(ray_session, con):
+def _check_sql_backed_queries(con):
     from searchengine_ray.pipelines.queries import ORACLE_SQL, QUERIES
 
     failures = []
@@ -67,6 +67,19 @@ def test_all_sql_backed_queries(ray_session, con):
         except AssertionError as e:
             failures.append(f"{name}: {e}")
     assert not failures, "\n".join(failures)
+
+
+def test_all_sql_backed_queries(ray_session, con):
+    _check_sql_backed_queries(con)
+
+
+def test_all_sql_backed_queries_all_to_all(ray_session, con, monkeypatch):
+    """The same gate with every co-shuffle forced onto the all-to-all
+    route: at sf0.001 nearly all of them run on the driver otherwise."""
+    from searchengine_ray.stages import relational
+
+    monkeypatch.setattr(relational, "DRIVER_SHUFFLE_ROWS", 0)
+    _check_sql_backed_queries(con)
 
 
 def test_rows_only_queries_run(ray_session):
