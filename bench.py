@@ -9,8 +9,10 @@ num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and print ONE JSON line:
 
 Each query also reports how many co-shuffles took the driver route and
 how many the all-to-all (``co_shuffles``), and the JSON records the
-host's capacity: ``nproc`` and ``burn_ms``, a fixed single-process numpy
-workload (``perfbench/run.py``'s, so the two benches read alike).
+host's capacity as ``perfbench/run.py`` does, so the two benches read
+alike: ``nproc`` (which reads OMP_NUM_THREADS when it is set),
+``cpus_available`` (the affinity mask), the 1-minute load and ``burn_ms``,
+a fixed single-process numpy workload.
 
 ``--scaling``: run the headline crawl pipeline twice in fresh processes
 (num_cpus=8 then 32) on the same input and report both throughputs plus the
@@ -124,7 +126,7 @@ def main() -> None:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    from perfbench.run import nproc, numpy_burn_ms
+    from perfbench.run import host_capacity
     from searchengine_ray.pipelines import queries as Q
 
     timings: dict[str, float] = {}
@@ -195,8 +197,7 @@ def main() -> None:
         "co_shuffles": shuffles,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
-        "nproc": nproc(),
-        "burn_ms": round(numpy_burn_ms(), 2),
+        **host_capacity(),
         "scaling": "run `python bench.py --scaling` (8 vs 32 CPUs, fresh "
                    "processes); recorded in BASELINE.md (round 5): latest "
                    "1.204 @8->32 (726.7 -> 3501.1 pages/s at 150k pages); "
