@@ -7,13 +7,6 @@ num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and print ONE JSON line:
     {"metric": "...", "value": <total sec>, "unit": "sec",
      "queries": {...}, "sf": ..., "num_cpus": N}
 
-Each query also reports how many co-shuffles took the driver route and
-how many the all-to-all (``co_shuffles``), and the JSON records the
-host's capacity as ``perfbench/run.py`` does, so the two benches read
-alike: ``nproc`` (which reads OMP_NUM_THREADS when it is set),
-``cpus_available`` (the affinity mask), the 1-minute load and ``burn_ms``,
-a fixed single-process numpy workload.
-
 ``--scaling``: run the headline crawl pipeline twice in fresh processes
 (num_cpus=8 then 32) on the same input and report both throughputs plus the
 scaling efficiency (eff = (t_lo/t_hi)/(32/8); 1.0 = linear).
@@ -22,7 +15,6 @@ scaling efficiency (eff = (t_lo/t_hi)/(32/8); 1.0 = linear).
 from __future__ import annotations
 
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -66,30 +58,6 @@ def _timed(fn, *args, **kw):
     return time.perf_counter() - t0, out
 
 
-class CoShuffleRoutes(logging.Handler):
-    """Counts ``stages/relational._co_shuffle``'s one DEBUG record per call
-    by the route it took."""
-
-    def __init__(self) -> None:
-        super().__init__(logging.DEBUG)
-        self.counts = {"driver": 0, "all_to_all": 0}
-        from searchengine_ray.stages import relational
-
-        logger = logging.getLogger(relational.__name__)
-        logger.setLevel(logging.DEBUG)
-        logger.propagate = False
-        logger.addHandler(self)
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.counts[record.args[0]] += 1
-
-    def take(self) -> dict[str, int]:
-        """The counts since the last call, as ``co_shuffle_<route>``."""
-        out = {f"co_shuffle_{r}": n for r, n in self.counts.items()}
-        self.counts = dict.fromkeys(self.counts, 0)
-        return out
-
-
 def bench_crawl() -> tuple[float, float]:
     """Returns (seconds, pages_per_sec) for a full BFS crawl of the
     benchmark store."""
@@ -126,12 +94,9 @@ def main() -> None:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    from perfbench.run import host_capacity
     from searchengine_ray.pipelines import queries as Q
 
     timings: dict[str, float] = {}
-    routes = CoShuffleRoutes()
-    shuffles: dict[str, dict[str, int]] = {}
 
     # warm-up (untimed): spin up the full worker pool + page cache so the
     # timed sections measure compute/shuffle, not process cold start
@@ -156,7 +121,6 @@ def main() -> None:
 
     for t in ("lineitem", "documents", "events", "embeddings", "orders"):
         pq.read_table(f"{SF_DIR}/{t}.parquet")
-    routes.take()
 
     # run in QUERIES order
     bench_queries = {k: fn for k, fn in Q.QUERIES.items()
@@ -168,15 +132,18 @@ def main() -> None:
     for name, fn in bench_queries.items():
         sec, _ = _timed(fn, SF_DIR)
         timings[name] = round(sec, 3)
-        shuffles[name] = routes.take()
 
-    for name, fn in (("image_phash_neardup", bench_image_phash_neardup),
-                     ("audio_fp_neardup", bench_audio_fp_neardup),
-                     ("video_frame_neardup", bench_video_frame_neardup)):
-        if not BENCH_ONLY or name in BENCH_ONLY.split(","):
-            sec, _ = _timed(fn)
-            timings[name] = round(sec, 3)
-            shuffles[name] = routes.take()
+    if not BENCH_ONLY or "image_phash_neardup" in BENCH_ONLY.split(","):
+        sec, _ = _timed(bench_image_phash_neardup)
+        timings["image_phash_neardup"] = round(sec, 3)
+
+    if not BENCH_ONLY or "audio_fp_neardup" in BENCH_ONLY.split(","):
+        sec, _ = _timed(bench_audio_fp_neardup)
+        timings["audio_fp_neardup"] = round(sec, 3)
+
+    if not BENCH_ONLY or "video_frame_neardup" in BENCH_ONLY.split(","):
+        sec, _ = _timed(bench_video_frame_neardup)
+        timings["video_frame_neardup"] = round(sec, 3)
 
     if not BENCH_ONLY or "crawl" in BENCH_ONLY.split(","):
         crawl_sec, pages_per_sec = bench_crawl()
@@ -194,10 +161,8 @@ def main() -> None:
         "value": total,
         "unit": "sec",
         "queries": timings,
-        "co_shuffles": shuffles,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
-        **host_capacity(),
         "scaling": "run `python bench.py --scaling` (8 vs 32 CPUs, fresh "
                    "processes); recorded in BASELINE.md (round 5): latest "
                    "1.204 @8->32 (726.7 -> 3501.1 pages/s at 150k pages); "

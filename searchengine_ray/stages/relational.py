@@ -26,16 +26,24 @@ The scale idioms (SURVEY.md §4):
     several — never pandas schema metadata on an Arrow block (a dict
     there makes ``pa.Schema`` unhashable, and Ray then skips its
     same-schema fast path on every block concat);
-  - one route decision, made here and nowhere else: the tagged input is
-    materialized (the all-to-all is a barrier that holds it anyway), and
-    at or below ``DRIVER_SHUFFLE_ROWS`` rows the driver route ``ray.get``s
-    its blocks and runs the kernel ONCE over all rows, as one bucket —
-    the raw pandas blocks for one input (never through Arrow, which turns
-    ndarray cells into tensor columns), the blocks read as Arrow and
-    concatenated with permissive promotion for several.  Zero rows call
-    no kernel on either route and give the empty, schemaless Dataset.
-    Above the limit the all-to-all runs as before.  Each call logs one
-    DEBUG record with the route, the rows and the limit.
+  - one route decision, made here and nowhere else: the tagged input's
+    blocks are streamed until they pass ``DRIVER_SHUFFLE_ROWS`` rows or
+    ``DRIVER_SHUFFLE_BYTES`` bytes.  Within both limits the driver route
+    ``ray.get``s those blocks and runs the kernel ONCE over all rows, as
+    one bucket — the raw pandas blocks for one input (never through
+    Arrow, which turns ndarray cells into tensor columns), the blocks
+    read as Arrow and concatenated with permissive promotion for several
+    — and hands its output on in up to ``num_buckets`` blocks of at
+    least Ray's ``target_min_block_size``.  Zero rows call no kernel and
+    give the empty, schemaless Dataset, as the all-to-all does.  Past
+    either limit the probe stops and the all-to-all runs on the lazy
+    plan as before, so a large input is streamed, not pinned; the cost
+    is re-running the prefix the probe read.  An input behind an
+    unmaterialized barrier (all-to-all, join, zip) is materialized
+    first instead, so that barrier runs once; that input then stays in
+    the object store while the returned Dataset lives.  Each call logs
+    one DEBUG record with the route, the rows and bytes the probe read,
+    and the limits.
 - ``pre_aggregate``: a bare ``groupby(k).aggregate(...)`` shuffles every row;
   this helper combines inside ``map_batches`` first (one row per key per
   batch) and shuffles only the partials — the reduce-side analog of the
@@ -59,9 +67,15 @@ from ray.data import Dataset
 
 _PARTIAL_OPS = {"sum", "count", "min", "max"}
 
-# Most rows a co-shuffle runs its kernel over on the driver, once, instead
-# of through the all-to-all: below it the shuffle's fixed cost dominates.
-DRIVER_SHUFFLE_ROWS = 200_000
+# Most rows, and most bytes, a co-shuffle runs its kernel over on the
+# driver, once, instead of through the all-to-all: below them the
+# shuffle's fixed cost dominates.  Above them the kernel's own work can,
+# and the driver runs it on one core and holds all of its output
+# (measured at sf0.1 on 4 CPUs: record_linkage's 10k-row co-shuffle ran
+# 1.5x slower on the driver and added 550 MB to its RSS).  The byte limit
+# bounds what the driver pulls in when rows are wide (document text).
+DRIVER_SHUFFLE_ROWS = 5_000
+DRIVER_SHUFFLE_BYTES = 8 << 20
 
 log = logging.getLogger(__name__)
 
@@ -149,9 +163,9 @@ def _co_shuffle(inputs, keys: Sequence[str], kernel,
     column co-locates the rows, ``kernel`` returns a ``pd.DataFrame`` or
     ``pa.Table``, and no shuffled block carries pandas schema metadata.
 
-    Up to ``DRIVER_SHUFFLE_ROWS`` input rows there is no all-to-all: the
-    driver runs ``kernel`` once over every row, as if there were one
-    bucket (see the module docstring)."""
+    Up to ``DRIVER_SHUFFLE_ROWS`` input rows and ``DRIVER_SHUFFLE_BYTES``
+    bytes there is no all-to-all: the driver runs ``kernel`` once over
+    every row, as if there were one bucket (see the module docstring)."""
     import pyarrow.compute as pc
 
     nb = num_buckets if num_buckets is not None else default_num_buckets()
@@ -210,23 +224,35 @@ def _co_shuffle(inputs, keys: Sequence[str], kernel,
                  for i, ds in enumerate(inputs)]
         fmt, both = "pyarrow", sides[0].union(*sides[1:])
 
-    # the all-to-all is a barrier that holds all of ``both`` anyway;
-    # materialized, its row count is block metadata
-    both = both.materialize()
-    rows = both.count()
-    driver = rows <= DRIVER_SHUFFLE_ROWS
-    log.debug("co_shuffle route=%s rows=%d limit=%d",
-              "driver" if driver else "all_to_all", rows, DRIVER_SHUFFLE_ROWS)
+    # probe: stream ``both`` until it passes a limit.  Past one, the
+    # probe's executor shuts down and the all-to-all runs on the lazy
+    # plan, so a large input streams into it unpinned.  Behind a barrier
+    # the probe would run that barrier whole and the all-to-all again:
+    # run it once, here
+    if _behind_barrier(both):
+        both = both.materialize()
+    refs, rows, nbytes = [], 0, 0
+    bundles = both.iter_internal_ref_bundles()
+    for bundle in bundles:
+        refs += bundle.block_refs
+        rows += bundle.num_rows()
+        nbytes += bundle.size_bytes()
+        if rows > DRIVER_SHUFFLE_ROWS or nbytes > DRIVER_SHUFFLE_BYTES:
+            break
+    del bundles
+    driver = rows <= DRIVER_SHUFFLE_ROWS and nbytes <= DRIVER_SHUFFLE_BYTES
+    log.debug("co_shuffle route=%s rows=%d bytes=%d limit=%d/%d",
+              "driver" if driver else "all_to_all", rows, nbytes,
+              DRIVER_SHUFFLE_ROWS, DRIVER_SHUFFLE_BYTES)
     if not driver:
+        del refs
         return both.groupby("_bucket").map_groups(per_bucket, batch_format=fmt)
     import ray.data as rd
     from ray.data.block import BlockAccessor
 
     if not rows:  # no bucket, no kernel call: the empty, schemaless result
         return rd.from_items([])
-    blocks = [BlockAccessor.for_block(b) for b in ray.get(
-        [r for bundle in both.iter_internal_ref_bundles()
-         for r in bundle.block_refs])]
+    blocks = [BlockAccessor.for_block(b) for b in ray.get(refs)]
     blocks = [b for b in blocks if b.num_rows()]
     if fmt == "pandas":  # the raw frames: Arrow would make tensor columns
         out = per_bucket(pd.concat([b.to_pandas() for b in blocks],
@@ -234,8 +260,44 @@ def _co_shuffle(inputs, keys: Sequence[str], kernel,
     else:
         out = per_bucket(pa.concat_tables([b.to_arrow() for b in blocks],
                                           promote_options="permissive"))
-    return (rd.from_pandas(out) if isinstance(out, pd.DataFrame)
-            else rd.from_arrow(out))
+    return _split_output(out, nb)
+
+
+def _behind_barrier(ds: Dataset) -> bool:
+    """Whether ``ds``'s lazy plan runs an all-to-all, join or zip, which
+    must finish whole before ``ds`` yields its first block."""
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll,
+    )
+    from ray.data._internal.logical.operators.join_operator import Join
+    from ray.data._internal.logical.operators.n_ary_operator import Zip
+
+    ops = [ds._logical_plan.dag]
+    while ops:
+        op = ops.pop()
+        if isinstance(op, (AbstractAllToAll, Join, Zip)):
+            return True
+        ops += op.input_dependencies
+    return False
+
+
+def _split_output(out, nb: int) -> Dataset:
+    """The driver route's kernel output as a Dataset of up to ``nb``
+    blocks, one per ``target_min_block_size`` bytes, so the maps after a
+    large output run as many tasks as they would after the all-to-all,
+    and a small one stays one block."""
+    import ray.data as rd
+    from ray.data import DataContext
+    from ray.data.block import BlockAccessor
+
+    acc = BlockAccessor.for_block(out)
+    n = acc.num_rows()
+    per = DataContext.get_current().target_min_block_size
+    k = max(1, min(nb, n, -(-acc.size_bytes() // per)))
+    cuts = np.linspace(0, n, k + 1).astype(int)
+    if isinstance(out, pd.DataFrame):
+        return rd.from_pandas([out.iloc[a:b] for a, b in zip(cuts, cuts[1:])])
+    return rd.from_arrow([out.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
 
 
 def pre_aggregate(
@@ -463,8 +525,8 @@ def hash_semi_anti_join(
     num_buckets: int | None = None,
 ) -> Dataset:
     """Distributed SEMI (anti=False) / ANTI (anti=True) join of two LARGE
-    sides on one key — at most ONE all-to-all (none at or below
-    ``DRIVER_SHUFFLE_ROWS`` rows).
+    sides on one key — at most ONE all-to-all (none within the driver
+    route's limits, see ``_co_shuffle``).
 
     Unlike ``hash_join`` the probe side contributes only key PRESENCE, so:
     the right side is reduced map-side to per-batch distinct keys (no

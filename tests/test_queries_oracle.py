@@ -78,7 +78,7 @@ def test_all_sql_backed_queries_all_to_all(ray_session, con, monkeypatch):
     route: at sf0.001 nearly all of them run on the driver otherwise."""
     from searchengine_ray.stages import relational
 
-    monkeypatch.setattr(relational, "DRIVER_SHUFFLE_ROWS", 0)
+    monkeypatch.setattr(relational, "DRIVER_SHUFFLE_ROWS", -1)
     _check_sql_backed_queries(con)
 
 
