@@ -121,7 +121,7 @@ def main() -> None:
         "gate_shard_memory": gate_mem,
         "probe_shard_memory": probe_mem,
         "content_replica_memory": replica_mem,
-        "cuckoo_degraded": [m["cuckoo_degraded"] for m in gate_mem],
+        "seen_segments": [m["seen_segments"] for m in gate_mem],
         "per_wave": [{k: m.get(k) for k in ("wave", "fetched", "pages_per_sec",
                                             "driver_rss_mb",
                                             "driver_private_mb")}

@@ -88,10 +88,12 @@ from __future__ import annotations
 import os
 import sys
 import time
+import uuid
 import zlib
 from contextlib import contextmanager
 from hashlib import sha256
 from typing import NamedTuple
+from urllib.parse import urlsplit
 
 import numpy as np
 import pandas as pd
@@ -124,7 +126,12 @@ from searchengine_ray.state.gates import (
     HostGateActor,
     HostGateShard,
 )
-from searchengine_ray.utils.urls import is_valid, join_url, normalize, urldefrag_str
+from searchengine_ray.utils.urls import (
+    join_url,
+    normalize,
+    urldefrag_str,
+    valid_urlhash,
+)
 
 # a fetched page's fields, with their Arrow types and the values of the
 # 404 shell a fetch of an unknown URL answers with
@@ -198,6 +205,7 @@ def _driver_private_mb() -> float | None:
 # Per-worker-process cache of broadcast objects: ray.get() re-deserializes a
 # Python dict on every call, so stateless fetch tasks memoize it once per
 # worker (the actor-pool path gets the same amortization via __init__).
+# The fetch tasks' per-engine link memos (_task_link_memo) live here too.
 # BOUNDED + LRU: per-wave objects (rank maps) would otherwise accumulate in
 # every worker for the life of the crawl; LRU (refresh on hit) keeps the
 # long-lived store ref resident while per-wave refs cycle through.
@@ -207,16 +215,21 @@ _BROADCAST_CACHE: OrderedDict[str, object] = OrderedDict()
 _BROADCAST_CACHE_MAX = 8
 
 
-def _get_broadcast(ref):
-    key = ref.hex()
+def _process_cached(key: str, make):
+    """The object cached under ``key`` in this process, ``make()`` on a
+    miss."""
     if key in _BROADCAST_CACHE:
         _BROADCAST_CACHE.move_to_end(key)
         return _BROADCAST_CACHE[key]
     while len(_BROADCAST_CACHE) >= _BROADCAST_CACHE_MAX:
         _BROADCAST_CACHE.popitem(last=False)
-    obj = ray.get(ref)
+    obj = make()
     _BROADCAST_CACHE[key] = obj
     return obj
+
+
+def _get_broadcast(ref):
+    return _process_cached(ref.hex(), lambda: ray.get(ref))
 
 
 def store_to_arrow(pages: dict[str, dict]) -> tuple[pa.Table, dict[str, int]]:
@@ -327,71 +340,115 @@ def _validate_batch(batch: pa.Table, ngram_size: int) -> pa.Table:
     )
 
 
-def _explode_links(batch: pa.Table, allowed_domains, extra_filter=None) -> pa.Table:
+# distinct netloc-bearing links one link memo holds; a full memo is
+# cleared and refills (it only saves work, never decides)
+LINK_MEMO_MAX = 1 << 16
+
+
+class _LinkMemo:
+    """One engine's link rules (``allowed_domains``, the user's
+    ``extra_filter``, ``robots`` = host → disallowed path prefixes or None)
+    and what they made of every netloc-bearing link seen so far.
+
+    ``urljoin`` of a link with a scheme and a netloc depends on its base
+    only through the base's scheme (dot segments are resolved only for
+    relative links), and every later step depends only on the resolved URL
+    and the engine's rules, so an entry keyed on (page scheme, raw link) is
+    exact for every page of the engine's crawl.  The memo is never shared
+    across engines: on the driver it lives on the ``CrawlEngine``, in fetch
+    tasks under the engine's link-spec key (``_task_link_memo``)."""
+
+    def __init__(self, allowed_domains, extra_filter=None,
+                 robots: dict | None = None):
+        self.allowed_domains = allowed_domains
+        self.extra_filter = extra_filter
+        self.robots = robots or {}
+        # (page scheme, raw link) → candidate, or None for a relative link
+        self.memo: dict[tuple[str, str], tuple | None] = {}
+
+    def candidate(self, page_url: str, raw: str) -> tuple:
+        """``raw`` found on ``page_url`` → (url_norm, url_hash, host), or ()
+        when is_valid, the extra filter or robots drops it."""
+        resolved = normalize(urldefrag_str(join_url(page_url, raw)))
+        url_hash = valid_urlhash(resolved, self.allowed_domains)
+        if url_hash is None or (self.extra_filter is not None
+                                and not self.extra_filter(resolved)):
+            return ()
+        parts = resolved.split("/", 3)
+        path = "/" + parts[3] if len(parts) > 3 else "/"
+        if any(path.startswith(p) for p in self.robots.get(parts[2], ())):
+            return ()
+        return resolved, url_hash, parts[2]
+
+    def lookup(self, scheme: str, page_url: str, raw: str) -> tuple:
+        """``candidate`` of ``raw`` on ``page_url``, whose scheme is
+        ``scheme``: memoized when ``raw`` has a scheme and a netloc,
+        resolved again for every page when it is relative."""
+        key = (scheme, raw)
+        cand = self.memo.get(key)
+        if cand is not None:
+            return cand
+        if key in self.memo:  # relative
+            return self.candidate(page_url, raw)
+        parts = urlsplit(raw) if "://" in raw else None
+        relative = parts is None or not (parts.scheme and parts.netloc)
+        if len(self.memo) >= LINK_MEMO_MAX:
+            self.memo.clear()
+        cand = self.candidate(page_url, raw)
+        self.memo[key] = None if relative else cand
+        return cand
+
+
+def _task_link_memo(link_spec) -> _LinkMemo:
+    """The link memo of the engine whose ``link_spec`` = (memo key,
+    allowed_domains, extra_link_filter, robots ref or None) a fetch task
+    was handed: one per engine and worker process, built on the process's
+    first task of that engine."""
+    key, allowed, extra_filter, robots_ref = link_spec
+    return _process_cached(key, lambda: _LinkMemo(
+        allowed, extra_filter,
+        ray.get(robots_ref) if robots_ref is not None else None))
+
+
+def _explode_links(batch: pa.Table, memo: _LinkMemo) -> pa.Table:
     """Pages (url_norm, links) → candidate link rows (reference M10/M9/M6-M8
-    in one pass): ``row`` is the page's row in ``batch``; ``extra_filter``
-    is the user's additional is_valid rule (README.md:113-114).
-
-    Each distinct absolute link (scheme + netloc) resolves once per batch:
-    ``urljoin`` of a netloc-bearing link depends on its base only through
-    the base's scheme (dot segments are resolved only for relative links),
-    so a batch-local memo keyed on (page scheme, raw link) is exact.
-    Relative links resolve per occurrence."""
-    from urllib.parse import urlsplit
-
-    from searchengine_ray.utils.urls import get_urlhash
-
-    memo: dict[tuple[str, str], tuple] = {}
-    o_row, o_idx, o_url, o_hash, o_host = [], [], [], [], []
-    for row, (page_url, lst) in enumerate(zip(batch["url_norm"].to_pylist(),
-                                              batch["links"].to_pylist())):
-        if not lst:
-            continue
-        scheme = urlsplit(page_url).scheme
-        for idx, raw in enumerate(lst):
-            cand = memo.get((scheme, raw))
-            if cand is None:
-                resolved = normalize(urldefrag_str(join_url(page_url, raw)))
-                cand = (() if not is_valid(resolved, allowed_domains) or (
-                    extra_filter is not None and not extra_filter(resolved))
-                    else (resolved, get_urlhash(resolved), resolved.split("/")[2]))
-                if "://" in raw:
-                    parts = urlsplit(raw)
-                    if parts.scheme and parts.netloc:
-                        memo[(scheme, raw)] = cand
-            if cand:
-                o_row.append(row)
-                o_idx.append(idx)
-                o_url.append(cand[0])
-                o_hash.append(cand[1])
-                o_host.append(cand[2])
+    in one pass): ``row`` is the page's row in ``batch``.  Every link is
+    looked up in the engine's ``memo``, over the flattened link lists."""
+    links = batch["links"].combine_chunks()
+    parent = pc.list_parent_indices(links).to_numpy()
+    lengths = pc.list_value_length(links).fill_null(0).to_numpy()
+    link_idx = np.arange(len(parent)) - (np.cumsum(lengths) - lengths)[parent]
+    pages = batch["url_norm"].to_pylist()
+    schemes = [urlsplit(u).scheme for u in pages]
+    keep, cands = [], []
+    for j, (row, raw) in enumerate(zip(parent.tolist(),
+                                       pc.list_flatten(links).to_pylist())):
+        cand = memo.lookup(schemes[row], pages[row], raw)
+        if cand:
+            keep.append(j)
+            cands.append(cand)
+    cols = list(zip(*cands)) if cands else [(), (), ()]
     return pa.table({
-        "row": pa.array(o_row, pa.int64()),
-        "link_idx": pa.array(o_idx, pa.int32()),
-        "url_norm": pa.array(o_url, pa.string()),
-        "url_hash": pa.array(o_hash, pa.string()),
-        "host": pa.array(o_host, pa.string()),
+        "row": pa.array(parent[keep], pa.int64()),
+        "link_idx": pa.array(link_idx[keep], pa.int32()),
+        **{c: pa.array(vals, pa.string())
+           for c, vals in zip(("url_norm", "url_hash", "host"), cols)},
     })
 
 
 _CAND_FIELDS = ["link_idx", "url_norm", "url_hash", "host"]
 
 
-def _link_candidates(batch: pa.Table, allowed_domains, extra_filter,
-                     robots: dict | None) -> pa.Table:
+def _link_candidates(batch: pa.Table, memo: _LinkMemo) -> pa.Table:
     """Replace a validated batch's raw ``links`` with ``cands``: for every
-    live row (status 200 and integrity_ok) its links exploded, filtered
-    (is_valid, ``extra_filter``) and robots-filtered (``robots`` = host →
-    disallowed path prefixes, None = no robots check), as
+    live row (status 200 and integrity_ok) its links exploded and filtered
+    by the engine's ``memo`` (is_valid, extra filter, robots), as
     list<struct<link_idx, url_norm, url_hash, host>> aligned to the rows.
     Page-local work, so it runs in the fetch map for every page; the
     content decision later picks whose cands reach the host gate."""
     live = pc.and_(pc.equal(batch["status"], 200), batch["integrity_ok"])
     rows = np.flatnonzero(live.to_numpy(zero_copy_only=False))
-    flat = _explode_links(batch.select(["url_norm", "links"]).take(rows),
-                          allowed_domains, extra_filter)
-    if robots:
-        flat = _robots_filter_table(flat, robots)
+    flat = _explode_links(batch.select(["url_norm", "links"]).take(rows), memo)
     counts = np.bincount(rows[flat["row"].to_numpy()], minlength=batch.num_rows)
     offsets = np.zeros(batch.num_rows + 1, dtype=np.int32)
     np.cumsum(counts, out=offsets[1:])
@@ -402,13 +459,10 @@ def _link_candidates(batch: pa.Table, allowed_domains, extra_filter,
 
 
 def _validate_and_link(batch: pa.Table, ngram_size: int, link_spec) -> pa.Table:
-    """Fetch-task tail: validate, then ``_link_candidates`` with the robots
-    rules read from the engine's broadcast.  ``link_spec`` =
-    (allowed_domains, extra_link_filter, robots ref or None)."""
-    allowed, extra_filter, robots_ref = link_spec
-    return _link_candidates(
-        _validate_batch(batch, ngram_size), allowed, extra_filter,
-        _get_broadcast(robots_ref) if robots_ref is not None else None)
+    """Fetch-task tail: validate, then ``_link_candidates`` with the
+    engine's link memo in this process (``_task_link_memo``)."""
+    return _link_candidates(_validate_batch(batch, ngram_size),
+                            _task_link_memo(link_spec))
 
 
 def _flatten_candidates(acc: pa.Table, rank_map: dict[int, int]) -> pd.DataFrame:
@@ -428,33 +482,6 @@ def _flatten_candidates(acc: pa.Table, rank_map: dict[int, int]) -> pd.DataFrame
         **{c: flat[c].to_numpy(zero_copy_only=False)
            for c in ("url_norm", "url_hash", "host")},
     })
-
-
-def _robots_filter_table(b: pa.Table, rules: dict) -> pa.Table:
-    """Drop rows whose URL path starts with a prefix ``rules`` (host →
-    disallowed path prefixes) lists for its host.  Vectorized: the loop
-    runs over the (few) prefix RULES of the batch's hosts, each applied as
-    one pandas str.startswith over that host's rows."""
-    if not rules or b.num_rows == 0:
-        return b
-    h = b["host"].to_pandas()
-    active = {x: rules[x] for x in h.unique() if rules.get(x)}
-    if not active:
-        return b
-    u = b["url_norm"].to_pandas()
-    # path = everything from the 3rd "/" on ("/" when the URL has no path)
-    path = ("/" + u.str.split("/", n=3).str[3].fillna("")).to_numpy(dtype=object)
-    drop = np.zeros(len(u), dtype=bool)
-    for host, prefixes in active.items():
-        m = (h == host).to_numpy()
-        if not m.any():
-            continue
-        sub = pd.Series(path[m])
-        d = np.zeros(int(m.sum()), dtype=bool)
-        for p in prefixes:
-            d |= sub.str.startswith(p).to_numpy()
-        drop[m] |= d
-    return b.filter(pa.array(~drop))
 
 
 @ray.remote
@@ -503,12 +530,9 @@ def _empty_gate_frame() -> pd.DataFrame:
     )
 
 
-_CAND_KEY = ["url_hash", "url_norm"]
-
-
 def _dedup_candidates(df: pd.DataFrame) -> pd.DataFrame:
     """Collapse repeated candidate URLs to their first occurrence (by
-    discovery order) + an occurrence count.
+    discovery order) + an occurrence count, in discovery order.
 
     EXACT — and the collapse key must be (url_hash, url_norm), NOT the
     hash alone: the scheme-less hash (utils/__init__.py:25-30) maps
@@ -518,17 +542,26 @@ def _dedup_candidates(df: pd.DataFrame) -> pd.DataFrame:
     URL string.  For IDENTICAL strings the derivation is safe: first
     accept/dup ⇒ later 'dup' (hash admitted/seen); first trap ⇒ later
     'trap' (gate state unchanged, is_trap monotone).  Rows that already
-    carry ``occurrences`` (a batch-local pre-dedup) add them up."""
-    if "occurrences" not in df:
-        df = df.assign(occurrences=np.ones(len(df), dtype=np.int64))
+    carry ``occurrences`` (a batch-local pre-dedup) add them up.  One
+    lexsort, the key factorized in that order (codes number keys by first
+    occurrence) and a bincount of the occurrences."""
+    occ = (df["occurrences"].to_numpy(dtype=np.int64) if "occurrences" in df
+           else np.ones(len(df), dtype=np.int64))
+    df = df.drop(columns=["occurrences"], errors="ignore")
     if df.empty:
-        return df
-    df = df.sort_values(["parent_rank", "link_idx"], kind="stable")
-    occ = df.groupby(_CAND_KEY, sort=False)["occurrences"].sum().reset_index()
-    firsts = (df.drop_duplicates(_CAND_KEY, keep="first")
-              .drop(columns=["occurrences"]).merge(occ, on=_CAND_KEY))
-    firsts["occurrences"] = firsts["occurrences"].astype(np.int64)
-    return firsts.sort_values(["parent_rank", "link_idx"], kind="stable")
+        return df.assign(occurrences=occ)
+    order = np.lexsort((df["link_idx"].to_numpy(), df["parent_rank"].to_numpy()))
+    hash_code = pd.factorize(df["url_hash"].to_numpy()[order])[0]
+    norm_code = pd.factorize(df["url_norm"].to_numpy()[order])[0]
+    key = pd.factorize(hash_code.astype(np.int64) * (int(norm_code.max()) + 1)
+                       + norm_code)[0]
+    n_keys = int(key.max()) + 1
+    first = np.empty(n_keys, dtype=np.int64)
+    first[key[::-1]] = np.arange(len(key) - 1, -1, -1)
+    out = df.iloc[order[first]].reset_index(drop=True)
+    out["occurrences"] = np.bincount(key, weights=occ[order],
+                                     minlength=n_keys).astype(np.int64)
+    return out
 
 
 _GATE_TOTALS = ["cand", "accept", "accept_dup_occ", "trap_occ"]
@@ -788,8 +821,14 @@ class CrawlEngine:
             self.store_ref = ray.put(store_to_arrow(store.pages))
         # robots rules: read-only store data, broadcast once per engine
         self.robots_ref = ray.put(store.robots)
-        # what a fetch task needs to emit link candidates (_validate_and_link)
-        self._link_spec = (config.allowed_domains, config.extra_link_filter,
+        # the link rules and what they made of each link: the driver's memo
+        # (inline waves), and what a fetch task needs to find its process's
+        # memo of this engine (_task_link_memo)
+        self._link_memo = _LinkMemo(config.allowed_domains,
+                                    config.extra_link_filter,
+                                    store.robots if config.use_robots else None)
+        self._link_spec = (f"links:{uuid.uuid4().hex}", config.allowed_domains,
+                           config.extra_link_filter,
                            self.robots_ref if config.use_robots else None)
         # what every fetch task is handed (_fetch_validate_task)
         self._fetch_spec = (self.store_ref, config.ngram_size, self._link_spec)
@@ -1001,8 +1040,8 @@ class CrawlEngine:
         """Hand driver-held host ``h`` over to its process: wait until the
         process answers (a host lost before it answered raises
         ``RayActorError`` here, one lost after it at its next call), then
-        ship the host's cores — seen sets, trap indexes, cuckoo filters and
-        decision counters — in ONE ``install``, not waited for: a caller's
+        ship the host's cores — seen sets, trap indexes and decision
+        counters — in ONE ``install``, not waited for: a caller's
         calls run in submission order, so every later call from the driver
         sees the installed state."""
         ray.get(self._gate_ready.pop(h))
@@ -1037,20 +1076,25 @@ class CrawlEngine:
 
     def _host_gate_inline(self, links: pd.DataFrame) -> pd.DataFrame:
         """Driver-side host gate: each URL host's UNIQUE candidates in
-        discovery order (see _dedup_candidates), one RPC per gate host."""
-        frames, batches = [], []
-        for _host, g in _dedup_candidates(links).groupby("host", sort=False):
-            g = g.sort_values(["parent_rank", "link_idx"], kind="stable")
-            batches.append((_host_shard(_host, self.config.num_gate_shards),
-                            list(zip(g["host"], g["url_norm"], g["url_hash"]))))
-            frames.append(g)
-        out_frames = []
-        for g, out in zip(frames, self._gate_rpc("process", batches)):
-            g = g.copy()
-            g["decision"] = out
-            out_frames.append(g)
-        return (pd.concat(out_frames, ignore_index=True)
-                if out_frames else _empty_gate_frame())
+        discovery order (see _dedup_candidates), one RPC per gate host.
+        Hosts are grouped by one stable argsort of their codes and the
+        decisions scattered back by index, so the frame stays in discovery
+        order."""
+        g = _dedup_candidates(links)
+        codes, hosts = pd.factorize(g["host"].to_numpy())
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes, minlength=len(hosts))).tolist()
+        rows = list(zip(g["host"].to_numpy()[order].tolist(),
+                        g["url_norm"].to_numpy()[order].tolist(),
+                        g["url_hash"].to_numpy()[order].tolist()))
+        nshards = self.config.num_gate_shards
+        batches = [(_host_shard(host, nshards), rows[a:b])
+                   for host, a, b in zip(hosts, [0] + ends[:-1], ends)]
+        decision = np.empty(len(g), dtype=object)
+        decision[order] = [d for out in self._gate_rpc("process", batches)
+                           for d in out]
+        g["decision"] = decision
+        return g
 
     # ------------------------------------------------------------------ waves
     def run_wave(self) -> bool:
@@ -1153,7 +1197,7 @@ class CrawlEngine:
     def _fetch_validate_inline(self, wave_df: pd.DataFrame):
         """Driver-side fetch+validate for small waves — the distributed
         path's kernels (Fetcher.__call__ + _validate_batch +
-        _link_candidates, robots from the store itself).  Returns (table,
+        _link_candidates, with the engine's own link memo).  Returns (table,
         rows speculation served, 0 tasks)."""
         rest, refs, covered = self._take_speculated(wave_df)
         parts = [_keep_rows(t, covered) for t in ray.get(refs)]
@@ -1165,8 +1209,7 @@ class CrawlEngine:
             batch = pa.Table.from_pandas(rest, preserve_index=False)
             parts.append(_link_candidates(
                 _validate_batch(self._inline_fetcher(batch), cfg.ngram_size),
-                cfg.allowed_domains, cfg.extra_link_filter,
-                self.store.robots if cfg.use_robots else None))
+                self._link_memo))
         return pa.concat_tables(parts), len(covered), 0
 
     def _fetch_validate_distributed(self, wave_df: pd.DataFrame):

@@ -13,8 +13,9 @@ globals (SURVEY.md §2.3):
   its own (pipelines/crawl.py ``CrawlEngine._handoff``).
   URL similarity is 0 across hosts (link_similarity.py:106-112), so
   host-sharding is EXACTLY the reference's global seen-set semantics.
-  Exact dedup uses a cuckoo filter fast path ("definitely new" has no false
-  negatives) backed by an exact hash set.
+  Every candidate probes the exact seen set (``SeenSet``) with no filter
+  in front of it: a filter screening "definitely new" URLs cost more per
+  URL than the probe it spared (SCALE.md §2).
 - ``ContentProbeShard`` (T4/D5, tier mode): one row-shard of the accepted
   page content store (caption shingles + image phash).  A new page is
   rejected when (a) caption-shingle Jaccard vs ANY accepted page exceeds
@@ -30,9 +31,9 @@ globals (SURVEY.md §2.3):
   (SURVEY.md §7 hard part 2).
 
 The gate keeps no checkpoint of its own.  Its state is a SET of admitted
-URLs (seen digests, trap buckets, cuckoo membership), and every admitted
-URL is in the checkpoint's crawl order or its frontier snapshot, exactly
-once; resume replays those URLs through ``restore_replay`` in any order
+URLs (seen digests, trap buckets), and every admitted URL is in the
+checkpoint's crawl order or its frontier snapshot, exactly once; resume
+replays those URLs through ``restore_replay`` in any order
 (pipelines/crawl.py ``_restore``).  Resume is bit-identical because every
 decision is content-derived and ordered by the deterministic FIFO ``seq``
 (SURVEY.md §7 hard part 6).  The result-time seen-set export is streaming:
@@ -55,7 +56,6 @@ import ray
 
 from searchengine_ray.functions.linksim import TrapIndex
 from searchengine_ray.functions.phash import hamming64, phash_bands
-from searchengine_ray.state.cuckoo import CuckooFilter
 from searchengine_ray.state.seenset import SeenSet
 
 # digests per Arrow chunk of the seen-set dump: a chunk's int32 string
@@ -74,37 +74,29 @@ class HostGateCore:
 
     Memory discipline (the 10^10 design point): the exact seen set is a
     ``SeenSet`` of raw 32-byte digests in sorted numpy segments (~32 B/URL
-    amortized, binary-search probes) behind the cuckoo fast path — never a
-    Python set of hex strings; URL strings are not retained at all (the
-    TrapIndex holds only path structure, with duplicate last-segment
-    charsets collapsed)."""
+    amortized, binary-search probes) — never a Python set of hex strings;
+    URL strings are not retained at all (the TrapIndex holds only path
+    structure, with duplicate last-segment charsets collapsed)."""
 
     def __init__(self, shard_id: int, url_similarity_threshold: float = 0.85):
         self.shard_id = shard_id
         self.threshold = url_similarity_threshold
         self.seen = SeenSet(digest_size=32)
-        # starts at the filter's default capacity and regrows 4× when full
-        # (``_admit``); decisions never depend on it: the SeenSet decides
-        self.cuckoo = CuckooFilter()
-        self.cuckoo_degraded = False  # True → fast path off, exact set only
         self.trap_index = TrapIndex(url_similarity_threshold)
         # per-partition dedup-rate lineage (north-star metric): cumulative
         # decision counts for this shard's slice of the URL space
         self.decisions = {"accept": 0, "dup": 0, "trap": 0, "seed": 0}
-
-    @staticmethod
-    def _cuckoo_key(digest: bytes) -> int:
-        return int.from_bytes(digest[:8], "big")
 
     def seed(self, rows: list[tuple[str, str, str]]) -> list[bool]:
         """Seed URLs enter dedup but bypass the trap gate (they never pass
         through the scraper in the reference flow)."""
         out = []
         for _host, url_norm, url_hash in rows:
-            if bytes.fromhex(url_hash) in self.seen:
+            digest = bytes.fromhex(url_hash)
+            if digest in self.seen:
                 out.append(False)
                 continue
-            self._admit(url_norm, url_hash)
+            self._admit(url_norm, digest)
             self.decisions["seed"] += 1
             out.append(True)
         return out
@@ -117,11 +109,7 @@ class HostGateCore:
         dec = self.decisions
         for host, url_norm, url_hash in rows:
             digest = bytes.fromhex(url_hash)
-            if not self.cuckoo_degraded and not self.cuckoo.contains(
-                self._cuckoo_key(digest)
-            ):
-                pass  # definitely new — skip the exact-set lookup
-            elif digest in self.seen:
+            if digest in self.seen:
                 dec["dup"] += 1
                 out.append("dup")
                 continue
@@ -129,27 +117,13 @@ class HostGateCore:
                 dec["trap"] += 1
                 out.append("trap")
                 continue
-            self._admit(url_norm, url_hash)
+            self._admit(url_norm, digest)
             dec["accept"] += 1
             out.append("accept")
         return out
 
-    def _admit(self, url_norm: str, url_hash: str) -> None:
-        digest = bytes.fromhex(url_hash)
+    def _admit(self, url_norm: str, digest: bytes) -> None:
         self.seen.add(digest)
-        if not self.cuckoo_degraded and not self.cuckoo.add(
-            self._cuckoo_key(digest)
-        ):
-            # filter full: a dropped key would break the "definitely new"
-            # fast path (a seen URL could skip the exact-set check) —
-            # regrow 4× and rehash; if even the regrown filter rejects
-            # (pathological key distribution), disable the fast path: the
-            # exact set remains the source of truth either way
-            self.cuckoo = CuckooFilter(capacity=4 * self.cuckoo.table.size)
-            for d in self.seen:
-                if not self.cuckoo.add(self._cuckoo_key(d)):
-                    self.cuckoo_degraded = True
-                    break
         self.trap_index.add(url_norm)
 
     def memory_stats(self) -> dict:
@@ -161,11 +135,6 @@ class HostGateCore:
             "seen_count": len(self.seen),
             "seen_bytes": self.seen.nbytes(),
             "seen_segments": len(self.seen.segments),
-            "cuckoo_bytes": int(self.cuckoo.table.nbytes),
-            # fast-path health: a degraded filter leaves every probe to the
-            # exact set (still exact, slower)
-            "cuckoo_degraded": self.cuckoo_degraded,
-            "cuckoo_load": round(self.cuckoo.count / self.cuckoo.table.size, 6),
             "trap_groups": len(self.trap_index.groups),
             # per-partition dedup-rate lineage (north-star metric)
             "decisions": dict(self.decisions),
@@ -202,12 +171,12 @@ class HostGateCore:
 
     def restore_replay(self, rows: list, decisions: dict | None = None) -> int:
         """Admit checkpointed URLs (host, url_norm, url_hash) through the
-        same ``_admit`` path.  The seen set, trap index and cuckoo
-        membership depend only on WHICH URLs were admitted, so rows replay
-        in any order.  ``decisions``: the cumulative counter snapshot to
-        resume from.  Returns the seen count after the replay."""
+        same ``_admit`` path.  The seen set and trap index depend only on
+        WHICH URLs were admitted, so rows replay in any order.
+        ``decisions``: the cumulative counter snapshot to resume from.
+        Returns the seen count after the replay."""
         for _host, url_norm, url_hash in rows:
-            self._admit(url_norm, url_hash)
+            self._admit(url_norm, bytes.fromhex(url_hash))
         if decisions is not None:
             self.decisions = dict(decisions)
         return len(self.seen)

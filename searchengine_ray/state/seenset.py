@@ -16,9 +16,10 @@ hash as its raw digest bytes in numpy ``S<k>`` arrays:
   (``sorted_array``), which the gate host hexes a chunk at a time straight
   into Arrow buffers — no Python object per URL.
 
-Exactness: probes compare the FULL digest (no truncation) — the cuckoo
-filter in front of this set screens "definitely new" keys probabilistically,
-but this set is the source of truth.
+Exactness: probes compare the FULL digest (no truncation); the host gate
+probes this set for every candidate, with no filter in front of it.  A
+miss costs one binary search per segment, of which there are at most
+``compact_at``.
 """
 
 from __future__ import annotations
@@ -70,26 +71,13 @@ class SeenSet:
                     return True
         return False
 
-    def _seg_digests(self, seg: np.ndarray) -> list[bytes]:
-        # NOT seg.tolist(): numpy S-dtype strips trailing NUL bytes on
-        # conversion, corrupting ~1/256 of raw digests — slice the exact
-        # fixed-width buffer instead
-        raw = seg.tobytes()
-        k = self.digest_size
-        return [raw[i * k:(i + 1) * k] for i in range(seg.size)]
-
-    def __iter__(self):
-        """All digests (arbitrary order) — used for cuckoo-filter rebuilds."""
-        yield from self.active
-        for seg in self.segments:
-            yield from self._seg_digests(seg)
-
     def sorted_array(self) -> np.ndarray:
         """All digests as ONE ascending ``S<k>`` array (byte order ≡
         hex-string order for lowercase hex, so dumps stay identically
         sorted) — no Python object per digest.  Read it through its buffer
-        (``tobytes``/``view(np.uint8)``), never ``.tolist()``: see
-        ``_seg_digests``."""
+        (``tobytes``/``view(np.uint8)``), never ``.tolist()``: numpy
+        S-dtype strips trailing NUL bytes on conversion, corrupting ~1/256
+        of raw digests."""
         self._flush()
         if not self.segments:
             return np.empty(0, dtype=self._dt)

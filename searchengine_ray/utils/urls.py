@@ -64,7 +64,10 @@ def get_urlhash(url: str) -> str:
     """sha256 hex over netloc/path/params/query/fragment — scheme excluded
     (reference utils/__init__.py:25-30).  http vs https of the same resource
     hash identically."""
-    p = urlparse(url)
+    return _parsed_hash(urlparse(url))
+
+
+def _parsed_hash(p) -> str:
     return sha256(
         f"{p.netloc}/{p.path}/{p.params}/{p.query}/{p.fragment}".encode("utf-8")
     ).hexdigest()
@@ -93,6 +96,21 @@ def is_valid(url: str, allowed_domains: tuple[str, ...] | None = None) -> bool:
         p = urlparse(url)
     except ValueError:
         return False
+    return _parsed_valid(p, allowed_domains)
+
+
+def valid_urlhash(url: str, allowed_domains: tuple[str, ...] | None = None
+                  ) -> str | None:
+    """``get_urlhash(url)`` when ``is_valid(url, allowed_domains)``, else
+    None — both from ONE ``urlparse``."""
+    try:
+        p = urlparse(url)
+    except ValueError:
+        return None
+    return _parsed_hash(p) if _parsed_valid(p, allowed_domains) else None
+
+
+def _parsed_valid(p, allowed_domains) -> bool:
     if p.scheme not in ("http", "https"):
         return False
     host = p.hostname or ""

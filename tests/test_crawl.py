@@ -512,12 +512,18 @@ def test_link_routes_agree(ray_session, store):
 
 
 @pytest.mark.parametrize("extra_filter", [None, _no_blog], ids=["unset", "set"])
-def test_explode_links_matches_memo_free_loop(extra_filter):
-    """_explode_links resolves each distinct absolute link once per batch;
-    its rows must equal a per-occurrence resolve of every link."""
+def test_explode_links_matches_memo_free_loop(extra_filter, monkeypatch):
+    """One engine's link memo serves every batch of its crawl: each
+    distinct (page scheme, absolute link) resolves once across the
+    batches, relative links once per occurrence, and the rows equal a
+    per-occurrence resolve + is_valid + extra filter + robots check of
+    every link (the oracle's robots rule: the URL's path starts with one
+    of its host's disallowed prefixes)."""
+    from urllib.parse import urlsplit
+
     import pyarrow as pa
 
-    from searchengine_ray.pipelines.crawl import _explode_links
+    from searchengine_ray.pipelines import crawl
     from searchengine_ray.utils.urls import (get_urlhash, is_valid, join_url,
                                              normalize, urldefrag_str)
 
@@ -532,30 +538,135 @@ def test_explode_links_matches_memo_free_loop(extra_filter):
         "https://host1.test/blog/post", "?u=http://host0.test/a",
         "http:///nohost", "mailto:x@host0.test", "ftp://host0.test/f",
         "http://off.example/x", "http://host0.test/doc.pdf",
+        "http://host1.test/private/x", "https://host1.test/privateer",
+        "http://host2.test", "http://host2.test/",
     ]
     pages = ["http://host0.test/a/b/page", "https://host0.test/a/b/page",
              "http://host1.test/dir/", "https://host1.test", "http://host2.test/x/y/z",
-             "https://host2.test/blog/"]
-    links = [raws[i:] + raws[:i] + raws[::3] for i in range(len(pages))] + [[]]
-    pages.append("http://host0.test/empty")
+             "https://host2.test/blog/", "http://host0.test/empty"]
+    links = [raws[i:] + raws[:i] + raws[::3] for i in range(len(pages) - 1)] + [[]]
     allowed = ("test",)
+    robots = {"host1.test": ["/private/"], "host2.test": ["/"],
+              "host0.test": ["/b", "/Path"]}
+    # three batches of one crawl, both page schemes in each of the first two
+    cuts = [(0, 2), (2, 4), (4, len(pages))]
 
     want = []
     for row, (page, lst) in enumerate(zip(pages, links)):
         for idx, raw in enumerate(lst):
             u = normalize(urldefrag_str(join_url(page, raw)))
-            if is_valid(u, allowed) and (extra_filter is None or extra_filter(u)):
-                want.append((row, idx, u, get_urlhash(u), u.split("/")[2]))
-    got = _explode_links(pa.table({"url_norm": pages, "links": links}),
-                         allowed, extra_filter)
+            if not is_valid(u, allowed) or (extra_filter is not None
+                                            and not extra_filter(u)):
+                continue
+            host = u.split("/")[2]
+            path = "/" + u.split("/", 3)[3] if u.count("/") >= 3 else "/"
+            if any(path.startswith(p) for p in robots.get(host, ())):
+                continue
+            want.append((row, idx, u, get_urlhash(u), host))
+
+    resolves = []
+
+    def counting_join(base, link):
+        resolves.append(link)
+        return join_url(base, link)
+
+    monkeypatch.setattr(crawl, "join_url", counting_join)
+    memo = crawl._LinkMemo(allowed, extra_filter, robots)
     cols = ["row", "link_idx", "url_norm", "url_hash", "host"]
-    assert list(zip(*(got[c].to_pylist() for c in cols))) == want
+    got = []
+    for a, b in cuts:
+        t = crawl._explode_links(
+            pa.table({"url_norm": pages[a:b], "links": links[a:b]}), memo)
+        got += [(r + a, *rest) for r, *rest in zip(*(t[c].to_pylist() for c in cols))]
+    assert got == want
+    # every drop reason fires in the corpus
+    kept = {(r, i) for r, i, *_ in want}
+    robot_drops = [(r, i) for r, lst in enumerate(links) for i, raw in enumerate(lst)
+                   if (r, i) not in kept and is_valid(
+                       normalize(urldefrag_str(join_url(pages[r], raw))), allowed)
+                   and "blog" not in raw]
+    assert robot_drops
+    # each distinct (scheme, absolute link) resolved once for all batches;
+    # relative links once per occurrence
+    def netloc_bearing(raw):
+        parts = urlsplit(raw)
+        return "://" in raw and bool(parts.scheme and parts.netloc)
+
+    absolute = {(p.split(":")[0], raw) for p, lst in zip(pages, links)
+                for raw in lst if netloc_bearing(raw)}
+    relative = sum(not netloc_bearing(raw) for lst in links for raw in lst)
+    assert len(resolves) == len(absolute) + relative
+    # a second crawl pass over the same pages resolves no absolute link
+    resolves.clear()
+    for a, b in cuts:
+        crawl._explode_links(pa.table({"url_norm": pages[a:b], "links": links[a:b]}),
+                             memo)
+    assert len(resolves) == relative
     # the corpus exercises dot segments kept in absolute links, and links
     # that resolve differently from http and https pages
     assert any("/../" in u or "/./" in u for _, _, u, _, _ in want)
     by_scheme = {(pages[r].split(":")[0], links[r][i]): u for r, i, u, _, _ in want}
     assert any(u != by_scheme.get(("https", raw)) for (sch, raw), u in by_scheme.items()
                if sch == "http" and "://" in raw)
+
+
+def _dedup_candidates_pandas(df):
+    """The pandas form of ``_dedup_candidates`` the numpy one replaced:
+    the reference it is pinned against."""
+    import numpy as np
+
+    key = ["url_hash", "url_norm"]
+    if "occurrences" not in df:
+        df = df.assign(occurrences=np.ones(len(df), dtype=np.int64))
+    if df.empty:
+        return df
+    df = df.sort_values(["parent_rank", "link_idx"], kind="stable")
+    occ = df.groupby(key, sort=False)["occurrences"].sum().reset_index()
+    firsts = (df.drop_duplicates(key, keep="first")
+              .drop(columns=["occurrences"]).merge(occ, on=key))
+    firsts["occurrences"] = firsts["occurrences"].astype(np.int64)
+    return firsts.sort_values(["parent_rank", "link_idx"], kind="stable")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dedup_candidates_matches_pandas(seed):
+    """The numpy ``_dedup_candidates`` (lexsort, factorize, bincount)
+    equals the pandas groupby form on seeded fuzz frames: shuffled rows,
+    http/https siblings sharing one ``url_hash`` and, as the giant-wave
+    gate's batch-local pre-dedup leaves them, pre-counted
+    ``occurrences``."""
+    import numpy as np
+
+    from searchengine_ray.pipelines.crawl import _dedup_candidates
+    from searchengine_ray.utils.urls import get_urlhash
+
+    rng = np.random.RandomState(seed)
+    n = int(rng.randint(1, 400))
+    paths = [f"host{rng.randint(0, 4)}.test/p{rng.randint(0, 30)}"
+             for _ in range(n)]
+    urls = [("http://" if rng.rand() < 0.5 else "https://") + p for p in paths]
+    ranks = rng.randint(0, 40, size=n)
+    df = pd.DataFrame({
+        "parent_rank": ranks.astype(np.int64),
+        "parent_seq": (ranks + 100).astype(np.int64),
+        "link_idx": np.zeros(n, dtype=np.int32),
+        "url_norm": urls,
+        "url_hash": [get_urlhash(u) for u in urls],
+        "host": [u.split("/")[2] for u in urls],
+    })
+    # (parent_rank, link_idx) is unique, as it is for real candidates
+    df["link_idx"] = df.groupby("parent_rank").cumcount().astype(np.int32)
+    df = df.sample(frac=1.0, random_state=seed).reset_index(drop=True)
+    assert df.groupby("url_hash")["url_norm"].nunique().max() == 2
+    frames = [df]
+    if seed % 2:
+        frames.append(df.assign(occurrences=rng.randint(1, 5, size=n).astype(np.int64)))
+    frames.append(df.iloc[:0])
+    for frame in frames:
+        got = _dedup_candidates(frame)
+        want = _dedup_candidates_pandas(frame)
+        pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                      want.reset_index(drop=True))
 
 
 def test_engine_matches_oracle_spill_pool(ray_session, store, tmp_path):
@@ -1011,6 +1122,77 @@ def test_engines_with_different_robots_rules(ray_session, store, threshold):
             eng.shutdown()
 
 
+def test_engines_with_different_link_rules_share_one_worker(tmp_path):
+    """The fetch tasks' link memo is per engine: two engines over ONE store
+    with different ``allowed_domains``, ``extra_link_filter`` and
+    ``use_robots``, alternating distributed waves in a 1-CPU session (so
+    their fetch tasks share one worker process, whose cache then holds
+    both engines' memos), each match their own oracle.  A memo keyed on
+    the page and link alone would serve one engine's verdicts to the
+    other."""
+    import subprocess
+    import sys
+    import textwrap
+
+    script = textwrap.dedent("""
+        import ray
+        from searchengine_ray.config import CrawlConfig
+        from searchengine_ray.pipelines import crawl
+        from searchengine_ray.pipelines.crawl_oracle import crawl_oracle
+        from searchengine_ray.sources.fixtures import make_store
+
+        def no_blog(url):
+            return "/blog/" not in url
+
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+        store = make_store(n_pages=80, seed=42)
+        common = dict(seed_urls=list(store.seeds), num_gate_shards=2,
+                      fetch_concurrency=1, inline_wave_threshold=0,
+                      state_actor_num_cpus=0)
+        configs = [
+            CrawlConfig(allowed_domains=("test",), use_robots=True, **common),
+            CrawlConfig(allowed_domains=("host0.test", "host1.test",
+                                         "host3.test"),
+                        extra_link_filter=no_blog, use_robots=False, **common)]
+        oracles = [crawl_oracle(store, c) for c in configs]
+        assert oracles[0].crawl_order != oracles[1].crawl_order
+        assert any("/private/" in e["url"] for e in oracles[1].crawl_order)
+        engines = [crawl.CrawlEngine(store, c) for c in configs]
+        try:
+            running = list(engines)
+            while running:
+                running = [e for e in running if e.run_wave()]
+            for eng, oracle in zip(engines, oracles):
+                res = eng.result()
+                got = res.crawl_order
+                want = [(e["seq"], e["url"], e["decision"])
+                        for e in oracle.crawl_order]
+                assert list(zip(got["seq"], got["url_norm"],
+                                got["decision"])) == want
+                assert res.url_seen == oracle.url_seen
+
+            @ray.remote
+            def link_memos():
+                return sorted(k for k in crawl._BROADCAST_CACHE
+                              if k.startswith("links:"))
+
+            assert ray.get(link_memos.remote()) == sorted(
+                e._link_spec[0] for e in engines)
+        finally:
+            for eng in engines:
+                eng.shutdown()
+            ray.shutdown()
+        print("ok")
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script], cwd=root,
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-4000:]
+    assert out.stdout.strip().splitlines()[-1] == "ok"
+
+
 def test_config_hash_pinned():
     """A checkpoint resumes only under its manifest's config_hash, so the
     hash of the semantic knobs must not move when execution knobs are added
@@ -1219,9 +1401,10 @@ def test_forced_handoff(ray_session, store, monkeypatch, kw):
 def test_handoff_ships_the_driver_held_state(ray_session, store, monkeypatch):
     """The handoff ships the driver-held host's cores to its process, which
     builds no gate state of its own: with the handoff forced at wave 1,
-    each process's per-shard ``memory_stats`` (the cuckoo filter's size
-    included) equals the driver-held host's taken just before the
-    handoff, and the crawl equals the oracle."""
+    each process's per-shard ``memory_stats`` (seen count, bytes and
+    segments, trap groups and decision counters) equals the driver-held
+    host's taken just before the handoff, and the crawl equals the
+    oracle."""
     import ray
 
     from searchengine_ray.pipelines.crawl import CrawlEngine
